@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "nn/classifier.h"
+#include "nn/lstm_classifier.h"
 #include "util/rng.h"
 
 namespace {

@@ -2,9 +2,9 @@
 // per-session OnlineMonitor loop (batch-1 inference) vs serve::Engine
 // (cross-session micro-batched inference), at equal thread count.
 //
-// Baseline partitions the sessions across T threads; each thread owns a
-// private clone of the trained monitor and a dedicated OnlineMonitor per
-// session, so it runs with zero synchronization — the strongest fair
+// Baseline partitions the sessions across T threads, each with a dedicated
+// OnlineMonitor per session over the one shared trained monitor (inference
+// is const), so it runs with zero synchronization — the strongest fair
 // baseline for "one monitor instance per patient". The engine run ingests
 // the same records round-robin from one thread and ticks every cycle,
 // fanning the shard flushes across the same T-way parallelism.
@@ -74,27 +74,24 @@ int main(int argc, char** argv) {
 
   core::Experiment exp(run.config(sim::Testbed::kGlucosymOpenAps, cli));
   run.attach(exp);
-  monitor::MlMonitor& mon =
+  const monitor::MlMonitor& mon =
       exp.monitor(core::MonitorVariant{monitor::Arch::kMlp, false});
   const int window = exp.config().dataset.window;
   run.manifest().set_param("window", static_cast<long long>(window));
   const std::vector<sim::Trace>& traces = exp.test_traces();
 
   // ---- Baseline: per-session OnlineMonitors, sessions striped over T
-  // threads, each thread on a private monitor clone. Warm-up fills every
+  // threads, all reading the one shared monitor. Warm-up fills every
   // window (window-1 cycles emit nothing), then `cycles` cycles are timed.
   long long base_verdicts = 0;
   double base_seconds = 0.0;
   {
-    std::vector<std::unique_ptr<monitor::MlMonitor>> clones;
-    clones.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) clones.push_back(mon.clone());
     std::vector<std::vector<core::OnlineMonitor>> monitors(
         static_cast<std::size_t>(threads));
     std::vector<std::vector<int>> ids(static_cast<std::size_t>(threads));
     for (int s = 0; s < sessions; ++s) {
       const auto w = static_cast<std::size_t>(s % threads);
-      monitors[w].emplace_back(*clones[w], window);
+      monitors[w].emplace_back(mon, window);
       ids[w].push_back(s);
     }
     const auto stream = [&](int worker, int from, int to,

@@ -565,7 +565,7 @@ std::vector<EvalResult> Experiment::evaluate_under_gaussian_sweep(
     std::uint64_t noise_seed) {
   // Hydrate every memoized structure before fanning out: the parallel
   // bodies must not touch the mutable maps.
-  monitor::MlMonitor& mon = monitor(v);
+  const monitor::MlMonitor& mon = monitor(v);
   const std::vector<int>& clean = clean_predictions(v);
   const monitor::Dataset& test = data_->test;
 
@@ -579,17 +579,16 @@ std::vector<EvalResult> Experiment::evaluate_under_gaussian_sweep(
   return run_checkpointed_sweep(
       "gaussian", v, sigma_factors, noise_seed, [&](int i) {
         const auto si = static_cast<std::size_t>(i);
-        // Forward passes mutate layer caches → one clone per sweep point. The
-        // noise RNG is keyed on the seed alone (not the point index), exactly
-        // as the serial loop over evaluate_under_gaussian() seeded it, so the
-        // outputs stay bit-identical to a serial sweep.
-        const std::unique_ptr<monitor::MlMonitor> local = mon.clone();
+        // Inference is const, so every point reads the one shared monitor.
+        // The noise RNG is keyed on the seed alone (not the point index),
+        // exactly as the serial loop over evaluate_under_gaussian() seeded
+        // it, so the outputs stay bit-identical to a serial sweep.
         attack::GaussianNoiseConfig gc;
         gc.sigma_factor = sigma_factors[si];
         util::Rng rng(noise_seed, 0x4e4f4953u /* 'NOIS' */);
         const nn::Tensor3 noisy =
-            attack::add_gaussian_noise(test.x, local->scaler(), gc, rng);
-        const std::vector<int> preds = local->predict(noisy);
+            attack::add_gaussian_noise(test.x, mon.scaler(), gc, rng);
+        const std::vector<int> preds = mon.predict(noisy);
         EvalResult r;
         r.confusion =
             eval::evaluate_with_tolerance(test, preds, config_.tolerance_delta);
@@ -616,6 +615,8 @@ std::vector<EvalResult> Experiment::evaluate_under_fgsm_sweep(
   return run_checkpointed_sweep(
       "fgsm", v, epsilons, static_cast<std::uint64_t>(mask), [&](int i) {
         const auto si = static_cast<std::size_t>(i);
+        // FGSM's input gradient accumulates parameter gradients, so each
+        // point attacks its own copy.
         const std::unique_ptr<monitor::MlMonitor> local = mon.clone();
         attack::FgsmConfig fc;
         fc.epsilon = epsilons[si];
@@ -633,7 +634,7 @@ std::vector<EvalResult> Experiment::evaluate_under_fgsm_sweep(
 
 std::vector<EvalResult> Experiment::evaluate_under_blackbox_sweep(
     const MonitorVariant& v, std::span<const double> epsilons) {
-  monitor::MlMonitor& mon = monitor(v);
+  const monitor::MlMonitor& mon = monitor(v);
   attack::SubstituteAttack& sub = substitute_for(v);
   const std::vector<int>& clean = clean_predictions(v);
   const nn::Tensor3& scaled = scaled_test_input(v);
@@ -649,12 +650,13 @@ std::vector<EvalResult> Experiment::evaluate_under_blackbox_sweep(
   return run_checkpointed_sweep(
       "blackbox", v, epsilons, /*extra=*/0, [&](int i) {
         const auto si = static_cast<std::size_t>(i);
-        const std::unique_ptr<monitor::MlMonitor> local_mon = mon.clone();
+        // The substitute's gradient pass writes, so it is copied per point;
+        // the target monitor is only read.
         const std::unique_ptr<attack::SubstituteAttack> local_sub = sub.clone();
         attack::FgsmConfig fc;
         fc.epsilon = epsilons[si];
         const nn::Tensor3 adv = local_sub->craft(scaled, clean, fc);
-        const std::vector<int> preds = local_mon->predict_scaled(adv);
+        const std::vector<int> preds = mon.predict_scaled(adv);
         EvalResult r;
         r.confusion =
             eval::evaluate_with_tolerance(test, preds, config_.tolerance_delta);

@@ -170,7 +170,9 @@ class Experiment {
   /// Sweep variants of the three perturbation evaluations. Each hydrates
   /// the memoized state (monitor, clean predictions, scaled test input,
   /// substitute) once, then evaluates the sweep points in parallel on the
-  /// shared pool, giving every point its own monitor/substitute clone.
+  /// shared pool. Points share the const monitor for inference; only the
+  /// writers get a clone per point (the FGSM target, whose input gradient
+  /// accumulates parameter gradients, and the black-box substitute).
   /// Results are bit-identical to calling the pointwise methods in a loop:
   /// clones carry identical weights and each point re-derives the same RNG
   /// stream the pointwise method would use.

@@ -13,11 +13,11 @@ namespace cpsguard::eval {
 
 namespace {
 
-// Chunked fan-out is only worth the clone cost (scaler + full weight copy
-// per chunk) when several chunks can actually run concurrently. Consults
-// the *configured* parallelism only: a caller doing serial single-window
-// predictions must never cause the process-wide pool to spawn its workers
-// (parallel_for instantiates it lazily iff we actually fan out).
+// Chunked fan-out (one gather copy per chunk) is only worth it when several
+// chunks can actually run concurrently. Consults the *configured*
+// parallelism only: a caller doing serial single-window predictions must
+// never cause the process-wide pool to spawn its workers (parallel_for
+// instantiates it lazily iff we actually fan out).
 bool worth_chunking(int batch, int chunk) {
   return batch > 2 * chunk && util::effective_parallelism() > 1 &&
          !util::in_parallel_region();
@@ -43,16 +43,16 @@ int argmax_row(std::span<const float> probs) {
 
 namespace {
 
-nn::Matrix batched_proba_impl(monitor::MlMonitor& mon,
+nn::Matrix batched_proba_impl(const monitor::MlMonitor& mon,
                               const nn::Tensor3& windows, int chunk,
                               bool prescaled) {
   expects(mon.trained(), "monitor not trained");
   expects(chunk > 0, "chunk size must be positive");
-  const auto one_call = [&](monitor::MlMonitor& m, const nn::Tensor3& x) {
-    return prescaled ? m.predict_proba_scaled(x) : m.predict_proba(x);
+  const auto one_call = [&](const nn::Tensor3& x) {
+    return prescaled ? mon.predict_proba_scaled(x) : mon.predict_proba(x);
   };
   const int batch = windows.batch();
-  if (!worth_chunking(batch, chunk)) return one_call(mon, windows);
+  if (!worth_chunking(batch, chunk)) return one_call(windows);
 
   const int chunks = (batch + chunk - 1) / chunk;
   std::vector<nn::Matrix> parts(static_cast<std::size_t>(chunks));
@@ -61,8 +61,7 @@ nn::Matrix batched_proba_impl(monitor::MlMonitor& mon,
     const int b1 = std::min(batch, b0 + chunk);
     std::vector<int> idx(static_cast<std::size_t>(b1 - b0));
     std::iota(idx.begin(), idx.end(), b0);
-    const std::unique_ptr<monitor::MlMonitor> local = mon.clone();
-    parts[static_cast<std::size_t>(c)] = one_call(*local, windows.gather(idx));
+    parts[static_cast<std::size_t>(c)] = one_call(windows.gather(idx));
   });
 
   const int classes = parts.front().cols();
@@ -79,19 +78,19 @@ nn::Matrix batched_proba_impl(monitor::MlMonitor& mon,
 
 }  // namespace
 
-nn::Matrix batched_predict_proba(monitor::MlMonitor& mon,
+nn::Matrix batched_predict_proba(const monitor::MlMonitor& mon,
                                  const nn::Tensor3& raw_windows,
                                  int chunk) {
   return batched_proba_impl(mon, raw_windows, chunk, /*prescaled=*/false);
 }
 
-nn::Matrix batched_predict_proba_scaled(monitor::MlMonitor& mon,
+nn::Matrix batched_predict_proba_scaled(const monitor::MlMonitor& mon,
                                         const nn::Tensor3& scaled_windows,
                                         int chunk) {
   return batched_proba_impl(mon, scaled_windows, chunk, /*prescaled=*/true);
 }
 
-std::vector<int> batched_predict(monitor::MlMonitor& mon,
+std::vector<int> batched_predict(const monitor::MlMonitor& mon,
                                  const nn::Tensor3& raw_windows,
                                  int chunk) {
   const nn::Matrix probs = batched_predict_proba(mon, raw_windows, chunk);

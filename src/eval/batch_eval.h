@@ -4,8 +4,8 @@
 // Determinism: every per-window forward pass is independent of its batch
 // neighbours (matmul rows, ReLU, softmax and the recurrent time loops are
 // all row-local), so a chunked run produces bit-identical probabilities to
-// one full-batch call. Classifier forward passes mutate layer caches, so
-// each parallel chunk works on its own MlMonitor clone.
+// one full-batch call. Inference is const, so every chunk reads the one
+// shared monitor.
 #pragma once
 
 #include <span>
@@ -28,7 +28,7 @@ int argmax_row(std::span<const float> probs);
 
 /// Class probabilities for every window, computed chunk-parallel.
 /// Bit-identical to `mon.predict_proba(raw_windows)`.
-nn::Matrix batched_predict_proba(monitor::MlMonitor& mon,
+nn::Matrix batched_predict_proba(const monitor::MlMonitor& mon,
                                  const nn::Tensor3& raw_windows,
                                  int chunk = 512);
 
@@ -36,14 +36,14 @@ nn::Matrix batched_predict_proba(monitor::MlMonitor& mon,
 /// engine scales each record once at ingest instead of rescaling it in
 /// every overlapping window). Bit-identical to
 /// `mon.predict_proba_scaled(scaled_windows)`.
-nn::Matrix batched_predict_proba_scaled(monitor::MlMonitor& mon,
+nn::Matrix batched_predict_proba_scaled(const monitor::MlMonitor& mon,
                                         const nn::Tensor3& scaled_windows,
                                         int chunk = 512);
 
 /// Argmax classes for every window, computed chunk-parallel via
 /// argmax_row: bit-identical to `mon.predict(raw_windows)` on NaN-free
 /// probabilities, CpsError when any window's probabilities contain NaN.
-std::vector<int> batched_predict(monitor::MlMonitor& mon,
+std::vector<int> batched_predict(const monitor::MlMonitor& mon,
                                  const nn::Tensor3& raw_windows,
                                  int chunk = 512);
 

@@ -72,7 +72,7 @@ bool run_config(const std::string& input) {
   for (const char* key : {"threads", "rate", "campaign.patients", "a", "k"}) {
     accepts("ConfigFile::get_int", [&] { (void)cfg.get_int(key, 0); });
     accepts("ConfigFile::get_double", [&] { (void)cfg.get_double(key, 0.0); });
-    (void)cfg.get_bool(key, false);
+    accepts("ConfigFile::get_bool", [&] { (void)cfg.get_bool(key, false); });
   }
   return true;
 }
@@ -276,7 +276,7 @@ bool run_cli(const std::string& input) {
       if (!cli.has(flag)) continue;
       accepts("Cli::get_int", [&] { (void)cli.get_int(flag, 0); });
       accepts("Cli::get_double", [&] { (void)cli.get_double(flag, 0.0); });
-      (void)cli.get_bool(flag, false);
+      accepts("Cli::get_bool", [&] { (void)cli.get_bool(flag, false); });
     }
   });
 }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "nn/gru_classifier.h"
+#include "nn/lstm_classifier.h"
 #include "nn/serialize.h"
 #include "obs/events.h"
 #include "obs/span.h"
@@ -142,22 +143,24 @@ TrainReport MlMonitor::train(const Dataset& train_data) {
   return report;
 }
 
-std::vector<int> MlMonitor::predict(const nn::Tensor3& raw_windows) {
+std::vector<int> MlMonitor::predict(const nn::Tensor3& raw_windows) const {
   expects(trained(), "monitor not trained");
   return predict_scaled(scaler_.transform(raw_windows));
 }
 
-nn::Matrix MlMonitor::predict_proba(const nn::Tensor3& raw_windows) {
+nn::Matrix MlMonitor::predict_proba(const nn::Tensor3& raw_windows) const {
   expects(trained(), "monitor not trained");
   return clf_->predict_proba(scaler_.transform(raw_windows));
 }
 
-std::vector<int> MlMonitor::predict_scaled(const nn::Tensor3& scaled_windows) {
+std::vector<int> MlMonitor::predict_scaled(
+    const nn::Tensor3& scaled_windows) const {
   expects(trained(), "monitor not trained");
   return nn::predict_classes(*clf_, scaled_windows);
 }
 
-nn::Matrix MlMonitor::predict_proba_scaled(const nn::Tensor3& scaled_windows) {
+nn::Matrix MlMonitor::predict_proba_scaled(
+    const nn::Tensor3& scaled_windows) const {
   expects(trained(), "monitor not trained");
   return clf_->predict_proba(scaled_windows);
 }
@@ -187,6 +190,8 @@ void MlMonitor::save(std::ostream& os) const {
 
 std::unique_ptr<MlMonitor> MlMonitor::clone() const {
   expects(trained(), "monitor not trained");
+  static obs::Counter& clones = obs::Registry::instance().counter("monitor.clones");
+  clones.increment();
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   scaler_.save(buf);
   const auto src_params = clf_->params();

@@ -67,14 +67,18 @@ class MlMonitor {
 
   [[nodiscard]] bool trained() const { return clf_ != nullptr; }
 
-  /// Predict on raw (unscaled) windows.
-  std::vector<int> predict(const nn::Tensor3& raw_windows);
-  nn::Matrix predict_proba(const nn::Tensor3& raw_windows);
+  /// Predict on raw (unscaled) windows. Every predict* call is const — a
+  /// pure function of the input, the scaler and the weights — so one
+  /// trained monitor serves any number of concurrent readers.
+  [[nodiscard]] std::vector<int> predict(const nn::Tensor3& raw_windows) const;
+  [[nodiscard]] nn::Matrix predict_proba(const nn::Tensor3& raw_windows) const;
 
   /// Predict on windows already in the scaled model space (attack surface,
   /// and the streaming engine's prescaled ingest path).
-  std::vector<int> predict_scaled(const nn::Tensor3& scaled_windows);
-  nn::Matrix predict_proba_scaled(const nn::Tensor3& scaled_windows);
+  [[nodiscard]] std::vector<int> predict_scaled(
+      const nn::Tensor3& scaled_windows) const;
+  [[nodiscard]] nn::Matrix predict_proba_scaled(
+      const nn::Tensor3& scaled_windows) const;
 
   [[nodiscard]] const MonitorConfig& config() const { return config_; }
   [[nodiscard]] const StandardScaler& scaler() const;
@@ -98,10 +102,12 @@ class MlMonitor {
   void bind(std::istream& scaler_stream, int window, int features,
             std::span<const nn::WeightView> weights);
 
-  /// Deep copy of a trained monitor (config + scaler + weights). Classifier
-  /// forward passes mutate layer caches, so concurrent evaluation fan-outs
-  /// give each task its own clone; identical weights guarantee identical
-  /// predictions, keeping parallel sweeps bit-identical to serial ones.
+  /// Deep copy of a trained monitor (config + scaler + weights) into owned
+  /// storage. Inference never needs one — predict* is const and shares
+  /// freely across threads. A copy is for whatever writes: gradient paths
+  /// (Classifier::loss_input_gradient accumulates parameter gradients, so
+  /// concurrent FGSM tasks each take their own), training, or an owned
+  /// model that outlives a borrowed (bound) original.
   [[nodiscard]] std::unique_ptr<MlMonitor> clone() const;
 
  private:

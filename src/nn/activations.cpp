@@ -19,10 +19,15 @@ float dsigmoid_from_y(float y) { return y * (1.0f - y); }
 
 float dtanh_from_y(float y) { return 1.0f - y * y; }
 
-Matrix Relu::forward(const Matrix& x, bool /*training*/) {
+Matrix Relu::infer(const Matrix& x) const {
   expects(x.cols() == size_, "ReLU: width mismatch");
   Matrix y = x;
   for (float& v : y.data()) v = v > 0.0f ? v : 0.0f;
+  return y;
+}
+
+Matrix Relu::forward(const Matrix& x, bool /*training*/) {
+  Matrix y = infer(x);
   cached_output_ = y;
   return y;
 }
@@ -39,10 +44,15 @@ Matrix Relu::backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix Tanh::forward(const Matrix& x, bool /*training*/) {
+Matrix Tanh::infer(const Matrix& x) const {
   expects(x.cols() == size_, "Tanh: width mismatch");
   Matrix y = x;
   for (float& v : y.data()) v = std::tanh(v);
+  return y;
+}
+
+Matrix Tanh::forward(const Matrix& x, bool /*training*/) {
+  Matrix y = infer(x);
   cached_output_ = y;
   return y;
 }
@@ -57,10 +67,15 @@ Matrix Tanh::backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix Sigmoid::forward(const Matrix& x, bool /*training*/) {
+Matrix Sigmoid::infer(const Matrix& x) const {
   expects(x.cols() == size_, "Sigmoid: width mismatch");
   Matrix y = x;
   for (float& v : y.data()) v = sigmoid(v);
+  return y;
+}
+
+Matrix Sigmoid::forward(const Matrix& x, bool /*training*/) {
+  Matrix y = infer(x);
   cached_output_ = y;
   return y;
 }

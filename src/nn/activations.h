@@ -14,6 +14,7 @@ class Relu : public Layer {
  public:
   explicit Relu(int size) : size_(size) {}
 
+  [[nodiscard]] Matrix infer(const Matrix& x) const override;
   Matrix forward(const Matrix& x, bool training) override;
   Matrix backward(const Matrix& dy) override;
 
@@ -30,6 +31,7 @@ class Tanh : public Layer {
  public:
   explicit Tanh(int size) : size_(size) {}
 
+  [[nodiscard]] Matrix infer(const Matrix& x) const override;
   Matrix forward(const Matrix& x, bool training) override;
   Matrix backward(const Matrix& dy) override;
 
@@ -46,6 +48,7 @@ class Sigmoid : public Layer {
  public:
   explicit Sigmoid(int size) : size_(size) {}
 
+  [[nodiscard]] Matrix infer(const Matrix& x) const override;
   Matrix forward(const Matrix& x, bool training) override;
   Matrix backward(const Matrix& dy) override;
 

@@ -1,6 +1,7 @@
 // Classifier: the common interface the monitors, attacks and evaluation code
-// program against. Both architectures consume [batch, time, features]
-// windows; the MLP flattens them, the LSTM consumes them sequentially.
+// program against. Every architecture consumes [batch, time, features]
+// windows; the MLP flattens them, the recurrent classifiers
+// (recurrent_classifier.h) consume them sequentially.
 //
 // The interface deliberately exposes `loss_input_gradient` — the gradient of
 // the cross-entropy loss with respect to the *input window* — because FGSM
@@ -14,7 +15,6 @@
 
 #include "nn/feedforward.h"
 #include "nn/loss.h"
-#include "nn/lstm.h"
 #include "nn/optimizer.h"
 #include "nn/tensor3.h"
 #include "util/rng.h"
@@ -31,7 +31,9 @@ class Classifier {
   [[nodiscard]] virtual std::string arch() const = 0;
 
   /// Softmax probabilities, [batch, classes]. Inference mode (no dropout).
-  virtual Matrix predict_proba(const Tensor3& x) = 0;
+  /// Const: a pure function of the input and the weights, so one trained
+  /// classifier can serve any number of concurrent readers.
+  [[nodiscard]] virtual Matrix predict_proba(const Tensor3& x) const = 0;
 
   /// Forward + loss + backward: accumulates parameter gradients (without
   /// applying an update) and returns the batch loss. Grad buffers are *not*
@@ -57,7 +59,7 @@ class Classifier {
 };
 
 /// Argmax over predict_proba rows.
-std::vector<int> predict_classes(Classifier& clf, const Tensor3& x);
+std::vector<int> predict_classes(const Classifier& clf, const Tensor3& x);
 
 /// Multi-layer perceptron over the flattened window.
 /// Paper architecture: Dense(256)-ReLU-Dense(128)-ReLU-Dense(C)-softmax.
@@ -71,7 +73,7 @@ class MlpClassifier : public Classifier {
   [[nodiscard]] int features() const override { return features_; }
   [[nodiscard]] std::string arch() const override;
 
-  Matrix predict_proba(const Tensor3& x) override;
+  [[nodiscard]] Matrix predict_proba(const Tensor3& x) const override;
   double accumulate_gradients(const Tensor3& x, std::span<const int> labels,
                               std::span<const float> semantic_targets,
                               const Loss& loss) override;
@@ -85,41 +87,6 @@ class MlpClassifier : public Classifier {
   int classes_;
   std::vector<int> hidden_;
   FeedForward net_;
-};
-
-/// Stacked LSTM with a dense softmax head on the last hidden state.
-/// Paper architecture: LSTM(128)-LSTM(64)-Dense(C)-softmax, time step 6.
-class LstmClassifier : public Classifier {
- public:
-  LstmClassifier(int time_steps, int features, std::vector<int> hidden,
-                 int classes, util::Rng& rng);
-
-  [[nodiscard]] int num_classes() const override { return classes_; }
-  [[nodiscard]] int time_steps() const override { return time_steps_; }
-  [[nodiscard]] int features() const override { return features_; }
-  [[nodiscard]] std::string arch() const override;
-
-  Matrix predict_proba(const Tensor3& x) override;
-  double accumulate_gradients(const Tensor3& x, std::span<const int> labels,
-                              std::span<const float> semantic_targets,
-                              const Loss& loss) override;
-  Tensor3 loss_input_gradient(const Tensor3& x,
-                              std::span<const int> labels) override;
-  std::vector<Param*> params() override;
-
- private:
-  /// Forward through the LSTM stack; returns the last hidden state and keeps
-  /// per-layer caches for backward.
-  Matrix encode(const Tensor3& x);
-  /// Backward from a gradient on the last hidden state to the input.
-  Tensor3 decode_gradient(const Matrix& dh_last);
-
-  int time_steps_;
-  int features_;
-  int classes_;
-  std::vector<int> hidden_;
-  std::vector<std::unique_ptr<LstmLayer>> lstms_;
-  FeedForward head_;
 };
 
 }  // namespace cpsguard::nn

@@ -11,6 +11,7 @@ class Dense : public Layer {
   /// Glorot-uniform weights, zero bias.
   Dense(int in, int out, util::Rng& rng);
 
+  [[nodiscard]] Matrix infer(const Matrix& x) const override;
   Matrix forward(const Matrix& x, bool training) override;
   Matrix backward(const Matrix& dy) override;
   std::vector<Param*> params() override;

@@ -9,22 +9,23 @@ Dropout::Dropout(int size, double rate, util::Rng rng)
   expects(rate >= 0.0 && rate < 1.0, "dropout rate must be in [0,1)");
 }
 
-Matrix Dropout::forward(const Matrix& x, bool training) {
+Matrix Dropout::infer(const Matrix& x) const {
   expects(x.cols() == size_, "Dropout: width mismatch");
-  if (!training || rate_ == 0.0) {
-    mask_valid_ = false;
-    return x;
-  }
+  return x;
+}
+
+Matrix Dropout::forward(const Matrix& x, bool training) {
+  Matrix y = infer(x);
+  mask_valid_ = training && rate_ != 0.0;
+  if (!mask_valid_) return y;
   const float keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
   mask_ = Matrix(x.rows(), x.cols());
-  Matrix y = x;
   auto m = mask_.data();
   auto v = y.data();
   for (std::size_t i = 0; i < v.size(); ++i) {
     m[i] = rng_.bernoulli(rate_) ? 0.0f : keep_scale;
     v[i] *= m[i];
   }
-  mask_valid_ = true;
   return y;
 }
 

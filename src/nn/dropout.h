@@ -11,6 +11,8 @@ class Dropout : public Layer {
   /// `rate` is the drop probability in [0, 1).
   Dropout(int size, double rate, util::Rng rng);
 
+  /// Inference is the identity.
+  [[nodiscard]] Matrix infer(const Matrix& x) const override;
   Matrix forward(const Matrix& x, bool training) override;
   Matrix backward(const Matrix& dy) override;
 

@@ -13,6 +13,13 @@ void FeedForward::add(std::unique_ptr<Layer> layer) {
   layers_.push_back(std::move(layer));
 }
 
+Matrix FeedForward::infer(const Matrix& x) const {
+  expects(!layers_.empty(), "network has no layers");
+  Matrix h = x;
+  for (const auto& layer : layers_) h = layer->infer(h);
+  return h;
+}
+
 Matrix FeedForward::forward(const Matrix& x, bool training) {
   expects(!layers_.empty(), "network has no layers");
   Matrix h = x;

@@ -15,7 +15,11 @@ class FeedForward {
   /// Append a layer; its input size must match the current output size.
   void add(std::unique_ptr<Layer> layer);
 
-  /// Forward through all layers.
+  /// Inference through all layers; const, so one network can serve
+  /// concurrent callers.
+  [[nodiscard]] Matrix infer(const Matrix& x) const;
+
+  /// Forward through all layers, recording what backward needs.
   Matrix forward(const Matrix& x, bool training);
 
   /// Backward through all layers; returns dLoss/dInput.

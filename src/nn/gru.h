@@ -24,7 +24,11 @@ class GruLayer {
  public:
   GruLayer(int input, int hidden, util::Rng& rng);
 
-  /// Forward over the whole sequence; caches per-step state for backward.
+  /// Inference over the whole sequence: hidden states for every timestep.
+  /// Const — writes nothing, so concurrent callers may share one layer.
+  [[nodiscard]] Tensor3 infer(const Tensor3& x) const;
+
+  /// infer plus the per-step caches backward needs.
   Tensor3 forward(const Tensor3& x);
 
   /// BPTT. `dh` holds dLoss/dh_t for every timestep; returns dLoss/dx.
@@ -51,6 +55,10 @@ class GruLayer {
     Matrix n;       // [B, hidden] post-activation
     Matrix ah_n;    // [B, hidden] the hidden contribution gated by r
   };
+  /// The one step loop behind infer and forward; appends each step's state
+  /// to `cache` when it is non-null.
+  Tensor3 run(const Tensor3& x, std::vector<StepCache>* cache) const;
+
   std::vector<StepCache> cache_;
   int cached_batch_ = 0;
 };

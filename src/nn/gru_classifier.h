@@ -1,5 +1,5 @@
 // Stacked-GRU classifier with a dense softmax head — the GRU counterpart of
-// LstmClassifier, built on the generic RecurrentClassifier.
+// LstmClassifier, built on the same generic RecurrentClassifier.
 #pragma once
 
 #include "nn/gru.h"

@@ -1,6 +1,8 @@
-// Layer abstraction for feed-forward networks: forward caches what backward
-// needs; backward accumulates parameter gradients and returns the gradient
-// with respect to the layer input (which is what FGSM ultimately consumes).
+// Layer abstraction for feed-forward networks. infer is inference: a const
+// function of the input and the weights, safe to call concurrently on one
+// shared layer. forward is infer plus recording what backward needs;
+// backward accumulates parameter gradients and returns the gradient with
+// respect to the layer input (which is what FGSM ultimately consumes).
 #pragma once
 
 #include <memory>
@@ -29,7 +31,10 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Forward pass over a [batch, in] matrix; `training` enables dropout etc.
+  /// Inference over a [batch, in] matrix (no dropout). Writes nothing.
+  [[nodiscard]] virtual Matrix infer(const Matrix& x) const = 0;
+
+  /// infer plus the caches backward needs; `training` enables dropout etc.
   virtual Matrix forward(const Matrix& x, bool training) = 0;
 
   /// Backward pass: given dLoss/dOutput, accumulate parameter gradients and

@@ -19,39 +19,41 @@ LstmLayer::LstmLayer(int input, int hidden, util::Rng& rng)
   for (int j = hidden; j < 2 * hidden; ++j) b_.value.at(0, j) = 1.0f;
 }
 
+Tensor3 LstmLayer::infer(const Tensor3& x) const { return run(x, nullptr); }
+
 Tensor3 LstmLayer::forward(const Tensor3& x) {
+  cache_.clear();
+  cached_batch_ = x.batch();
+  return run(x, &cache_);
+}
+
+Tensor3 LstmLayer::run(const Tensor3& x, std::vector<StepCache>* cache) const {
   expects(x.features() == input_, "LSTM: input feature width mismatch");
   const int batch = x.batch();
   const int steps = x.time();
-  cache_.clear();
-  cache_.reserve(static_cast<std::size_t>(steps));
-  cached_batch_ = batch;
+  if (cache != nullptr) cache->reserve(static_cast<std::size_t>(steps));
 
   Tensor3 out(batch, steps, hidden_);
   Matrix h = Matrix::zeros(batch, hidden_);
   Matrix c = Matrix::zeros(batch, hidden_);
 
   for (int t = 0; t < steps; ++t) {
-    StepCache sc;
-    sc.x = x.time_slice(t);
-    sc.h_prev = h;
-    sc.c_prev = c;
-
-    Matrix a = matmul(sc.x, wx_.value);
+    Matrix xt = x.time_slice(t);
+    Matrix a = matmul(xt, wx_.value);
     a.add_in_place(matmul(h, wh_.value));
-    a.add_row_vector(std::as_const(b_.value).row(0));
+    a.add_row_vector(b_.value.row(0));
 
-    sc.gates = Matrix(batch, 4 * hidden_);
-    sc.c = Matrix(batch, hidden_);
-    sc.tanh_c = Matrix(batch, hidden_);
+    Matrix gates(batch, 4 * hidden_);
+    Matrix c_next(batch, hidden_);
+    Matrix tanh_c(batch, hidden_);
     Matrix h_next(batch, hidden_);
 
     for (int bi = 0; bi < batch; ++bi) {
       const auto arow = a.row(bi);
-      auto grow = sc.gates.row(bi);
-      const auto cprev = sc.c_prev.row(bi);
-      auto crow = sc.c.row(bi);
-      auto tcrow = sc.tanh_c.row(bi);
+      auto grow = gates.row(bi);
+      const auto cprev = c.row(bi);
+      auto crow = c_next.row(bi);
+      auto tcrow = tanh_c.row(bi);
       auto hrow = h_next.row(bi);
       for (int j = 0; j < hidden_; ++j) {
         const auto ji = static_cast<std::size_t>(j);
@@ -69,10 +71,13 @@ Tensor3 LstmLayer::forward(const Tensor3& x) {
       }
     }
 
-    h = h_next;
-    c = sc.c;
-    out.set_time_slice(t, h);
-    cache_.push_back(std::move(sc));
+    out.set_time_slice(t, h_next);
+    if (cache != nullptr) {
+      cache->push_back(StepCache{std::move(xt), std::move(h), std::move(c),
+                                 std::move(gates), c_next, std::move(tanh_c)});
+    }
+    h = std::move(h_next);
+    c = std::move(c_next);
   }
   return out;
 }

@@ -1,8 +1,9 @@
 // Generic stacked-recurrent classifier: any cell layer exposing
-//   Tensor3 forward(const Tensor3&), Tensor3 backward(const Tensor3&),
-//   std::vector<Param*> params(), int hidden_size()
-// can be stacked under a dense softmax head. Instantiated for the GRU; the
-// LSTM keeps its dedicated class (the paper's primary recurrent monitor).
+//   Tensor3 infer(const Tensor3&) const, Tensor3 forward(const Tensor3&),
+//   Tensor3 backward(const Tensor3&), std::vector<Param*> params(),
+//   int hidden_size()
+// can be stacked under a dense softmax head. Instantiated for the LSTM (the
+// paper's primary recurrent monitor) and the GRU.
 #pragma once
 
 #include <memory>
@@ -47,8 +48,11 @@ class RecurrentClassifier : public Classifier {
     return s + ")";
   }
 
-  Matrix predict_proba(const Tensor3& x) override {
-    return softmax_rows(head_.forward(encode(x), /*training=*/false));
+  Matrix predict_proba(const Tensor3& x) const override {
+    check_window(x);
+    Tensor3 h = x;
+    for (const auto& cell : cells_) h = cell->infer(h);
+    return softmax_rows(head_.infer(h.time_slice(h.time() - 1)));
   }
 
   double accumulate_gradients(const Tensor3& x, std::span<const int> labels,
@@ -85,9 +89,15 @@ class RecurrentClassifier : public Classifier {
   }
 
  private:
-  Matrix encode(const Tensor3& x) {
+  void check_window(const Tensor3& x) const {
     expects(x.time() == time_steps_ && x.features() == features_,
             "recurrent classifier: window shape mismatch");
+  }
+
+  /// Last hidden state of the stack, keeping every cell's step caches for
+  /// decode_gradient.
+  Matrix encode(const Tensor3& x) {
+    check_window(x);
     Tensor3 h = x;
     for (auto& cell : cells_) h = cell->forward(h);
     return h.time_slice(h.time() - 1);

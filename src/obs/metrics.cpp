@@ -80,12 +80,17 @@ double Histogram::quantile(double q) const {
   if (total == 0) return 0.0;
   q = std::fmin(std::fmax(q, 0.0), 1.0);
   const auto rank = static_cast<std::uint64_t>(q * static_cast<double>(total - 1));
+  // A bucket midpoint can lie outside the observed range (one value of 256
+  // sits in a bucket whose midpoint is 272), so the estimate is clamped to
+  // [min, max]: a quantile never exceeds the extrema it summarizes.
+  const double lo = min_.load(std::memory_order_relaxed);
+  const double hi = max_.load(std::memory_order_relaxed);
   std::uint64_t seen = 0;
   for (int i = 0; i < kNumBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen > rank) return bucket_midpoint(i);
+    if (seen > rank) return std::fmin(std::fmax(bucket_midpoint(i), lo), hi);
   }
-  return max_.load(std::memory_order_relaxed);
+  return hi;
 }
 
 HistogramSnapshot Histogram::snapshot() const {

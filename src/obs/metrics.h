@@ -86,7 +86,8 @@ class Histogram {
   }
   [[nodiscard]] double sum() const { return sum_.load(std::memory_order_relaxed); }
 
-  /// Quantile estimate for q in [0, 1]; 0 when empty.
+  /// Quantile estimate for q in [0, 1], clamped to [min, max]; 0 when
+  /// empty.
   [[nodiscard]] double quantile(double q) const;
 
   [[nodiscard]] HistogramSnapshot snapshot() const;

@@ -1,8 +1,8 @@
 #include "serve/engine.h"
 
-#include <string>
-
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "registry/registry.h"
@@ -47,10 +47,11 @@ Engine::Engine(const monitor::MlMonitor& mon, EngineConfig config)
   expects(config.max_sessions > 0, "max_sessions must be positive");
   expects(config.predict_chunk > 0, "predict_chunk must be positive");
   expects(config.idle_ttl_ticks >= 0, "idle_ttl_ticks must be non-negative");
+  active_ = mon.clone();
   shards_.reserve(static_cast<std::size_t>(config.shards));
   for (int s = 0; s < config.shards; ++s) {
     shards_.push_back(
-        std::make_unique<SessionShard>(mon, config_, session_budget_));
+        std::make_unique<SessionShard>(active_, config_, session_budget_));
   }
 }
 
@@ -104,8 +105,9 @@ std::vector<VerdictEvent> Engine::tick() {
   // Epoch boundary: a staged model activates here — after every shard
   // flushed under the outgoing model, before this tick's verdicts drain.
   // Stage-to-activate latency is therefore at most one flush epoch.
-  if (staged_version_ != 0) {
-    for (auto& shard : shards_) shard->activate_staged();
+  if (staged_ != nullptr) {
+    for (auto& shard : shards_) shard->activate(staged_, staged_version_);
+    prev_ = std::exchange(active_, std::move(staged_));
     prev_version_ = active_version_;
     active_version_ = staged_version_;
     staged_version_ = 0;
@@ -156,52 +158,51 @@ std::size_t Engine::queue_depth() const {
 void Engine::stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
                          SwapMode mode) {
   expects(mon.trained(), "staged monitor must be trained");
-  expects(version > 0, "model versions start at 1");
-  for (auto& shard : shards_) shard->stage(mon.clone(), version, mode);
-  if (mode == SwapMode::kShadow) {
-    shadow_version_ = version;
-    util::log_info("serve: shadow-scoring model v", version, " against v",
-                   active_version_);
-    return;
-  }
-  staged_version_ = version;
-  stage_tick_ = ticks();
-  swap_stats_.last_stage_tick = stage_tick_;
+  stage(mon.clone(), version, mode);
 }
 
 void Engine::swap_model(const registry::ModelRegistry& reg,
                         std::uint64_t version, SwapMode mode) {
   // load() verifies the artifact (structure + SHA) before any shard sees
-  // it; the mmap backing dies with `loaded` — stage clones into owned
-  // storage, so the registry file can be removed afterwards.
-  const registry::ModelRegistry::LoadedModel loaded = reg.load(version);
-  stage_model(*loaded.monitor, version, mode);
+  // it. The staged pointer aliases the whole LoadedModel, so the mapping
+  // lives exactly as long as some slot serves from it.
+  auto loaded = std::make_shared<const registry::ModelRegistry::LoadedModel>(
+      reg.load(version));
+  stage(ModelPtr(loaded, loaded->monitor.get()), version, mode);
+}
+
+void Engine::stage(ModelPtr mon, std::uint64_t version, SwapMode mode) {
+  expects(version > 0, "model versions start at 1");
+  if (mode == SwapMode::kShadow) {
+    for (auto& shard : shards_) shard->set_shadow(mon, version);
+    shadow_ = std::move(mon);
+    shadow_version_ = version;
+    util::log_info("serve: shadow-scoring model v", version, " against v",
+                   active_version_);
+    return;
+  }
+  staged_ = std::move(mon);
+  staged_version_ = version;
+  stage_tick_ = ticks();
+  swap_stats_.last_stage_tick = stage_tick_;
 }
 
 bool Engine::promote_shadow() {
-  if (shadow_version_ == 0) return false;
-  bool any = false;
-  for (auto& shard : shards_) any = shard->promote_shadow() || any;
-  if (!any) return false;
-  staged_version_ = shadow_version_;
-  shadow_version_ = 0;
-  stage_tick_ = ticks();
-  swap_stats_.last_stage_tick = stage_tick_;
+  if (shadow_ == nullptr) return false;
+  for (auto& shard : shards_) shard->set_shadow(nullptr, 0);
+  stage(std::move(shadow_), std::exchange(shadow_version_, 0),
+        SwapMode::kEpoch);
   return true;
 }
 
 bool Engine::rollback() {
-  bool restaged = false;
-  for (auto& shard : shards_) restaged = shard->rollback() || restaged;
+  for (auto& shard : shards_) shard->set_shadow(nullptr, 0);
+  shadow_.reset();
   shadow_version_ = 0;
-  if (!restaged) {
-    staged_version_ = 0;
-    return false;
-  }
-  staged_version_ = prev_version_;
-  prev_version_ = 0;
-  stage_tick_ = ticks();
-  swap_stats_.last_stage_tick = stage_tick_;
+  staged_.reset();
+  staged_version_ = 0;
+  if (prev_ == nullptr) return false;
+  stage(std::move(prev_), std::exchange(prev_version_, 0), SwapMode::kEpoch);
   util::log_info("serve: rolling back to model v", staged_version_);
   return true;
 }

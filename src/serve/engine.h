@@ -71,9 +71,10 @@ struct SwapStats {
 
 class Engine {
  public:
-  /// `mon` must be trained; each shard takes its own clone, so the engine
-  /// does not retain a reference. `config.window` must equal the window
-  /// the monitor was trained with.
+  /// `mon` must be trained. The engine copies it once and every shard
+  /// reads that one immutable copy, so the engine does not retain a
+  /// reference. `config.window` must equal the window the monitor was
+  /// trained with.
   Engine(const monitor::MlMonitor& mon, EngineConfig config);
 
   /// Ingest one record; never throws on rejection. Sessions are created on
@@ -131,16 +132,17 @@ class Engine {
   // and no micro-batch ever mixes model versions. Verdicts carry the version
   // that scored them (VerdictEvent::model_version).
 
-  /// Stage `mon` (cloned per shard) as version `version`. kEpoch replaces
-  /// the active model at the next tick; kShadow dual-scores immediately
-  /// without affecting verdicts. Restaging before activation replaces the
-  /// previously staged model.
+  /// Stage a copy of `mon` (one copy, shared by every shard) as version
+  /// `version`. kEpoch replaces the active model at the next tick; kShadow
+  /// dual-scores immediately without affecting verdicts. Restaging before
+  /// activation replaces the previously staged model.
   void stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
                    SwapMode mode = SwapMode::kEpoch);
 
-  /// Load `version` from `reg` (verify-on-open) and stage it. The mmap'd
-  /// artifact only lives for the duration of the call — shards clone into
-  /// owned storage — so the registry file can be GC'd afterwards.
+  /// Load `version` from `reg` (verify-on-open) and stage it without a
+  /// copy: the shards serve straight from the mmap'd artifact, which the
+  /// engine keeps mapped for as long as any model slot holds it. The
+  /// registry file can be GC'd afterwards — the mapping outlives the unlink.
   void swap_model(const registry::ModelRegistry& reg, std::uint64_t version,
                   SwapMode mode = SwapMode::kEpoch);
 
@@ -162,19 +164,31 @@ class Engine {
   [[nodiscard]] const SwapStats& swap_stats() const { return swap_stats_; }
 
  private:
+  using ModelPtr = std::shared_ptr<const monitor::MlMonitor>;
+
+  /// Shared tail of stage_model and swap_model.
+  void stage(ModelPtr mon, std::uint64_t version, SwapMode mode);
+
   EngineConfig config_;
   std::atomic<std::int64_t> session_budget_;
   std::atomic<std::int64_t> ticks_{0};
-  std::vector<std::unique_ptr<SessionShard>> shards_;
-  std::vector<SessionId> evicted_last_tick_;
 
-  // Control-thread swap state (shards hold the authoritative monitors).
+  // Model slots, control-thread only. Each model is immutable and shared:
+  // shards hold the active and shadow pointers, `staged_` waits for the
+  // epoch boundary, `prev_` is the rollback target after an activation.
+  ModelPtr active_;
   std::uint64_t active_version_;
+  ModelPtr staged_;
   std::uint64_t staged_version_ = 0;
+  ModelPtr shadow_;
   std::uint64_t shadow_version_ = 0;
-  std::uint64_t prev_version_ = 0;  // rollback target after an activation
+  ModelPtr prev_;
+  std::uint64_t prev_version_ = 0;
   std::int64_t stage_tick_ = -1;
   SwapStats swap_stats_;
+
+  std::vector<std::unique_ptr<SessionShard>> shards_;
+  std::vector<SessionId> evicted_last_tick_;
 };
 
 }  // namespace cpsguard::serve

@@ -8,7 +8,6 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "util/contracts.h"
 
 namespace cpsguard::serve {
 
@@ -49,18 +48,33 @@ struct ServeMetrics {
   }
 };
 
+// Class probabilities for batch rows [0, n) under `mon`. A full batch is
+// scored in place; a partial (tick) flush copies its rows into one
+// exact-size tensor, amortized over up to max_batch windows, so the
+// per-record path stays allocation-free.
+nn::Matrix score_rows(const monitor::MlMonitor& mon, const nn::Tensor3& batch,
+                      int n, const EngineConfig& config) {
+  if (n == config.max_batch) {
+    return eval::batched_predict_proba_scaled(mon, batch, config.predict_chunk);
+  }
+  nn::Tensor3 head(n, config.window, monitor::Features::kNumFeatures);
+  std::copy(batch.data().begin(), batch.data().begin() + head.size(),
+            head.data().begin());
+  return eval::batched_predict_proba_scaled(mon, head, config.predict_chunk);
+}
+
 }  // namespace
 
 SessionShard::Session::Session(const EngineConfig& cfg)
     : ring(cfg.window, monitor::Features::kNumFeatures),
       raw(cfg.window, monitor::Features::kNumFeatures) {}
 
-SessionShard::SessionShard(const monitor::MlMonitor& mon,
+SessionShard::SessionShard(std::shared_ptr<const monitor::MlMonitor> mon,
                            const EngineConfig& config,
                            std::atomic<std::int64_t>& session_budget)
     : config_(config),
       session_budget_(session_budget),
-      monitor_(mon.clone()),
+      monitor_(std::move(mon)),
       version_(config.initial_model_version),
       batch_(config.max_batch, config.window,
              monitor::Features::kNumFeatures) {
@@ -150,19 +164,7 @@ void SessionShard::flush_locked() {
   const int n = static_cast<int>(pending_.size());
   metrics.batch_occupancy.record(static_cast<double>(n));
 
-  nn::Matrix probs;
-  if (n == config_.max_batch) {
-    probs = eval::batched_predict_proba_scaled(*monitor_, batch_,
-                                               config_.predict_chunk);
-  } else {
-    // Partial (tick) flush: one exact-size tensor per flush, amortized over
-    // up to max_batch windows — the per-record path stays allocation-free.
-    nn::Tensor3 head(n, config_.window, monitor::Features::kNumFeatures);
-    std::copy(batch_.data().begin(), batch_.data().begin() + head.size(),
-              head.data().begin());
-    probs = eval::batched_predict_proba_scaled(*monitor_, head,
-                                               config_.predict_chunk);
-  }
+  const nn::Matrix probs = score_rows(*monitor_, batch_, n, config_);
 
   for (int r = 0; r < n; ++r) {
     VerdictEvent& ev = pending_[static_cast<std::size_t>(r)];
@@ -181,18 +183,8 @@ void SessionShard::flush_locked() {
     // Dual-score the same windows (rebuilt in the shadow model's scaler
     // space at ingest) without touching done_: shadow verdicts are
     // observability, never output.
-    nn::Matrix shadow_probs;
-    if (n == config_.max_batch) {
-      shadow_probs = eval::batched_predict_proba_scaled(*shadow_, shadow_batch_,
-                                                        config_.predict_chunk);
-    } else {
-      nn::Tensor3 head(n, config_.window, monitor::Features::kNumFeatures);
-      std::copy(shadow_batch_.data().begin(),
-                shadow_batch_.data().begin() + head.size(),
-                head.data().begin());
-      shadow_probs = eval::batched_predict_proba_scaled(*shadow_, head,
-                                                        config_.predict_chunk);
-    }
+    const nn::Matrix shadow_probs =
+        score_rows(*shadow_, shadow_batch_, n, config_);
     std::uint64_t disagree = 0;
     for (int r = 0; r < n; ++r) {
       const int shadow_pred =
@@ -255,12 +247,10 @@ void SessionShard::evict_idle(std::int64_t now_tick, std::int64_t ttl,
   }
 }
 
-void SessionShard::stage(std::unique_ptr<monitor::MlMonitor> mon,
-                         std::uint64_t version, SwapMode mode) {
-  expects(mon != nullptr && mon->trained(),
-          "staged monitor must be trained");
+void SessionShard::set_shadow(std::shared_ptr<const monitor::MlMonitor> mon,
+                              std::uint64_t version) {
   const std::scoped_lock lock(mutex_);
-  if (mode == SwapMode::kShadow) {
+  if (mon != nullptr) {
     // Flush first so the shadow batch rows align with the active batch
     // starting from the next staged window; allocate the shadow batch on
     // first use (shards that never shadow pay nothing).
@@ -269,30 +259,23 @@ void SessionShard::stage(std::unique_ptr<monitor::MlMonitor> mon,
       shadow_batch_ = nn::Tensor3(config_.max_batch, config_.window,
                                   monitor::Features::kNumFeatures);
     }
-    shadow_ = std::move(mon);
-    shadow_version_ = version;
-    return;
   }
-  staged_ = std::move(mon);
-  staged_version_ = version;
+  shadow_ = std::move(mon);
+  shadow_version_ = version;
 }
 
-bool SessionShard::activate_staged() {
+void SessionShard::activate(std::shared_ptr<const monitor::MlMonitor> mon,
+                            std::uint64_t version) {
   const std::scoped_lock lock(mutex_);
-  if (staged_ == nullptr) return false;
   // Straggler windows staged since the engine's flush pass (concurrent
   // ingest) still score under the outgoing model — no batch ever mixes
   // versions.
   flush_locked();
-  prev_ = std::move(monitor_);
-  prev_version_ = version_;
-  monitor_ = std::move(staged_);
-  version_ = staged_version_;
-  staged_version_ = 0;
+  monitor_ = std::move(mon);
+  version_ = version;
   rescale_sessions_locked();
   ++counters_.swaps;
   ServeMetrics::get().swaps.increment();
-  return true;
 }
 
 void SessionShard::rescale_sessions_locked() {
@@ -308,33 +291,6 @@ void SessionShard::rescale_sessions_locked() {
       monitor_->scaler().transform_row(scaled);
     }
   }
-}
-
-bool SessionShard::promote_shadow() {
-  const std::scoped_lock lock(mutex_);
-  if (shadow_ == nullptr) return false;
-  staged_ = std::move(shadow_);
-  staged_version_ = shadow_version_;
-  shadow_version_ = 0;
-  return true;
-}
-
-bool SessionShard::rollback() {
-  const std::scoped_lock lock(mutex_);
-  staged_.reset();
-  staged_version_ = 0;
-  shadow_.reset();
-  shadow_version_ = 0;
-  if (prev_ == nullptr) return false;
-  staged_ = std::move(prev_);
-  staged_version_ = prev_version_;
-  prev_version_ = 0;
-  return true;
-}
-
-std::uint64_t SessionShard::active_version() const {
-  const std::scoped_lock lock(mutex_);
-  return version_;
 }
 
 ShardStats SessionShard::stats() const {

@@ -1,9 +1,8 @@
 // One shard of the streaming engine: owns the sessions routed to it, their
-// ring-buffered feature windows, a preallocated cross-session micro-batch,
-// and its own clone of the trained monitor (classifier forward passes
-// mutate layer caches, so concurrent shard flushes need private monitors —
-// identical weights keep verdicts bit-identical to any other deployment of
-// the same model).
+// ring-buffered feature windows and a preallocated cross-session
+// micro-batch. It scores with the engine's one immutable model: inference
+// is const, so every shard holds a shared pointer to the same monitor and
+// concurrent shard flushes read it without copies or locks.
 //
 // Rings hold *prescaled* features: each record passes through the monitor's
 // StandardScaler exactly once at ingest, instead of once per overlapping
@@ -59,10 +58,11 @@ struct ShardStats {
 
 class SessionShard {
  public:
-  /// Clones `mon` (which must be trained). `session_budget` is the
+  /// Scores with the shared, trained `mon`. `session_budget` is the
   /// engine-wide open-session budget this shard draws on when it admits a
   /// new session (decremented back by close()).
-  SessionShard(const monitor::MlMonitor& mon, const EngineConfig& config,
+  SessionShard(std::shared_ptr<const monitor::MlMonitor> mon,
+               const EngineConfig& config,
                std::atomic<std::int64_t>& session_budget);
 
   /// Ingest one record. On admission the record is committed into its
@@ -91,33 +91,18 @@ class SessionShard {
   void evict_idle(std::int64_t now_tick, std::int64_t ttl,
                   std::vector<SessionId>& evicted);
 
-  /// Stage a replacement monitor (the shard takes ownership; the caller
-  /// clones per shard). kEpoch: held until activate_staged() — the engine's
-  /// next tick boundary. kShadow: installed immediately as the shadow
-  /// scorer; the shard flushes its partial batch first so shadow rows stay
-  /// aligned with the active batch from the next window on. Restaging
-  /// replaces any prior staged/shadow monitor of the same mode.
-  void stage(std::unique_ptr<monitor::MlMonitor> mon, std::uint64_t version,
-             SwapMode mode);
+  /// Install `mon` as the shadow scorer (nullptr removes it). Installing
+  /// flushes the partial batch first, so shadow rows stay aligned with the
+  /// active batch from the next window on; removing does not flush.
+  void set_shadow(std::shared_ptr<const monitor::MlMonitor> mon,
+                  std::uint64_t version);
 
-  /// Epoch-boundary activation of the staged monitor: flush any straggler
+  /// Epoch-boundary activation of `mon` as `version`: flush any straggler
   /// windows under the outgoing model, swap, then rescale every live
   /// session ring from its raw twin so partial windows continue
-  /// bit-identically to fresh ingest under the new scaler. Returns false
-  /// (and does nothing) when no monitor is staged.
-  bool activate_staged();
-
-  /// Move the shadow monitor into the staged slot (it activates at the
-  /// next activate_staged()). Returns false when no shadow is installed.
-  bool promote_shadow();
-
-  /// Discard staged and shadow monitors. If a swap already activated, the
-  /// previous monitor is re-staged (activating at the next epoch boundary)
-  /// and true is returned; false means nothing was active to roll back to.
-  bool rollback();
-
-  /// Version of the monitor currently scoring verdicts.
-  [[nodiscard]] std::uint64_t active_version() const;
+  /// bit-identically to fresh ingest under the new scaler.
+  void activate(std::shared_ptr<const monitor::MlMonitor> mon,
+                std::uint64_t version);
 
   [[nodiscard]] ShardStats stats() const;
 
@@ -127,18 +112,14 @@ class SessionShard {
 
   const EngineConfig config_;
   std::atomic<std::int64_t>& session_budget_;
-  std::unique_ptr<monitor::MlMonitor> monitor_;
-  std::uint64_t version_;
 
-  // Hot-swap slots. `staged_` waits for the epoch boundary, `shadow_`
-  // dual-scores without verdicting, `prev_` is the rollback target after an
-  // activation. All transitions happen under the shard lock.
-  std::unique_ptr<monitor::MlMonitor> staged_;
-  std::uint64_t staged_version_ = 0;
-  std::unique_ptr<monitor::MlMonitor> shadow_;
+  // The engine's models, shared with every other shard and never written.
+  // `shadow_` dual-scores without verdicting. Both pointers change only
+  // under the shard lock; staging and rollback live in the Engine.
+  std::shared_ptr<const monitor::MlMonitor> monitor_;
+  std::uint64_t version_;
+  std::shared_ptr<const monitor::MlMonitor> shadow_;
   std::uint64_t shadow_version_ = 0;
-  std::unique_ptr<monitor::MlMonitor> prev_;
-  std::uint64_t prev_version_ = 0;
 
   struct Session {
     explicit Session(const EngineConfig& cfg);

@@ -56,7 +56,7 @@ bool Cli::get_bool(const std::string& name, bool def) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   used_[name] = true;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  return parse_bool(it->second, "--" + name);
 }
 
 std::vector<std::string> Cli::unused() const {

@@ -18,6 +18,7 @@ class Cli {
   [[nodiscard]] std::string get(const std::string& name, const std::string& def) const;
   /// Typed getters parse strictly (locale-independent, no trailing garbage:
   /// "--threads=4x" is a ParseError naming the flag, not a silent 4).
+  /// get_bool takes true/false, 1/0, yes/no; a bare `--flag` means true.
   [[nodiscard]] int get_int(const std::string& name, int def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;

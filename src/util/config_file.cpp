@@ -79,8 +79,7 @@ double ConfigFile::get_double(const std::string& key, double def) const {
 
 bool ConfigFile::get_bool(const std::string& key, bool def) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  return it == values_.end() ? def : parse_bool(it->second, key);
 }
 
 }  // namespace cpsguard::util

@@ -22,7 +22,8 @@ class ConfigFile {
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& def) const;
   /// Typed getters parse strictly (locale-independent, no trailing
-  /// garbage): "threads = 4x" is a ParseError naming the key.
+  /// garbage): "threads = 4x" is a ParseError naming the key. get_bool
+  /// takes true/false, 1/0, yes/no.
   [[nodiscard]] int get_int(const std::string& key, int def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool def) const;

@@ -117,4 +117,11 @@ int parse_int32(std::string_view text, std::string_view context) {
   return static_cast<int>(v);
 }
 
+bool parse_bool(std::string_view text, std::string_view context) {
+  const std::string_view s = strip_ws(text);
+  if (s == "true" || s == "1" || s == "yes") return true;
+  if (s == "false" || s == "0" || s == "no") return false;
+  fail(text, context, "a boolean (true/false, 1/0, yes/no)");
+}
+
 }  // namespace cpsguard::util

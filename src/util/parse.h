@@ -39,4 +39,10 @@ double parse_double(std::string_view text, std::string_view context);
 /// parse_int narrowed to int; out-of-int-range values are a ParseError.
 int parse_int32(std::string_view text, std::string_view context);
 
+/// Strict boolean: exactly one of true/false, 1/0, yes/no (lower case,
+/// surrounding whitespace ignored). Anything else is a ParseError naming
+/// `context` and the raw text — a typo such as "ture" must not silently
+/// read as false.
+bool parse_bool(std::string_view text, std::string_view context);
+
 }  // namespace cpsguard::util

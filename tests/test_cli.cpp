@@ -46,6 +46,22 @@ TEST(Cli, BoolParsesCommonForms) {
   EXPECT_FALSE(make_cli({"--x", "no"}).get_bool("x", true));
 }
 
+// Regression: any value other than true/1/yes used to read as false, so
+// `--deterministic ture` ran non-deterministic and `--manifest BENCH_x.json`
+// silently wrote no manifest.
+TEST(Cli, BoolRejectsUnknownSpellings) {
+  EXPECT_FALSE(make_cli({"--x", "false"}).get_bool("x", true));
+  EXPECT_FALSE(make_cli({"--x", "0"}).get_bool("x", true));
+  EXPECT_FALSE(make_cli({"--manifest", "false"}).get_bool("manifest", true));
+  EXPECT_THROW((void)make_cli({"--deterministic", "ture"})
+                   .get_bool("deterministic", false),
+               ParseError);
+  EXPECT_THROW((void)make_cli({"--manifest", "BENCH_x.json"})
+                   .get_bool("manifest", true),
+               ParseError);
+  EXPECT_THROW((void)make_cli({"--x=maybe"}).get_bool("x", false), ParseError);
+}
+
 TEST(Cli, RejectsPositionalArguments) {
   EXPECT_THROW(make_cli({"positional"}), CpsError);
 }

@@ -50,6 +50,13 @@ TEST(ConfigFile, BoolForms) {
   EXPECT_FALSE(cfg.get_bool("d", true));
 }
 
+TEST(ConfigFile, BoolRejectsUnknownSpellings) {
+  const auto cfg = ConfigFile::parse("a = 0\nb = ture\nc = on\n");
+  EXPECT_FALSE(cfg.get_bool("a", true));
+  EXPECT_THROW((void)cfg.get_bool("b", false), ParseError);
+  EXPECT_THROW((void)cfg.get_bool("c", false), ParseError);
+}
+
 TEST(ConfigFile, ErrorsCarryLineNumbers) {
   try {
     ConfigFile::parse("good = 1\nbad line without equals\n");

@@ -162,14 +162,21 @@ TEST(MlMonitor, CloneIsBitIdenticalAndIndependent) {
 
 TEST(BatchEval, ChunkedPredictProbaMatchesSingleCall) {
   const Dataset ds = small_dataset(9);
-  MlMonitor mon(fast_config(Arch::kMlp, false));
-  mon.train(ds);
+  MlMonitor trained(fast_config(Arch::kMlp, false));
+  trained.train(ds);
+  // Everything below reads through a const reference: the chunks share
+  // the one monitor instead of cloning it.
+  const MlMonitor& mon = trained;
   const nn::Matrix whole = mon.predict_proba(ds.x);
   // Tiny chunk forces many shards (when the pool has >1 worker); either way
   // the stitched result must be bit-identical to the one-shot call.
   const nn::Matrix chunked = eval::batched_predict_proba(mon, ds.x, 8);
   EXPECT_TRUE(whole == chunked);
   EXPECT_EQ(eval::batched_predict(mon, ds.x, 8), mon.predict(ds.x));
+  const nn::Tensor3 scaled = mon.scaler().transform(ds.x);
+  EXPECT_TRUE(eval::batched_predict_proba_scaled(mon, scaled, 8) ==
+              mon.predict_proba_scaled(scaled));
+  EXPECT_TRUE(whole == mon.predict_proba_scaled(scaled));
 }
 
 TEST(MlMonitor, RejectsBadConfig) {

@@ -64,6 +64,41 @@ TEST(Histogram, QuantilesWithinBucketResolution) {
   EXPECT_NEAR(h.quantile(0.99), 990.0, 990.0 * 0.10);
 }
 
+// Property: min <= p50 <= p90 <= p99 <= max on every series. Bucket
+// midpoints used to escape the observed range — one recorded 256 read back
+// as p50 = 272, past its own max.
+TEST(Histogram, QuantilesStayOrderedWithinMinMax) {
+  const auto check = [](const std::vector<double>& series) {
+    Histogram h;
+    for (const double v : series) h.record(v);
+    const HistogramSnapshot s = h.snapshot();
+    EXPECT_LE(s.min, s.p50);
+    EXPECT_LE(s.p50, s.p90);
+    EXPECT_LE(s.p90, s.p99);
+    EXPECT_LE(s.p99, s.max);
+  };
+  check({256.0});
+  check({0.1328});
+  check(std::vector<double>(100, 256.0));
+  check(std::vector<double>(7, 3e-9));
+  check({-3.0, -2.0, -1.0});
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (int series = 0; series < 50; ++series) {
+    std::vector<double> xs(1 + series * 7);
+    for (double& x : xs) {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      // Log-uniform over ~12 orders of magnitude, some exact bucket edges.
+      const double u = static_cast<double>(state >> 11) * 0x1.0p-53;
+      x = series % 5 == 0 ? std::ldexp(1.0, static_cast<int>(u * 20) - 10)
+                          : std::pow(10.0, 12.0 * u - 6.0);
+    }
+    check(xs);
+  }
+  Histogram one;
+  one.record(256.0);
+  EXPECT_DOUBLE_EQ(one.quantile(0.5), 256.0);
+}
+
 TEST(Histogram, IgnoresNanKeepsZeroAndNegative) {
   Histogram h;
   h.record(std::nan(""));

@@ -88,5 +88,29 @@ TEST(ParseInt32, RejectsBeyondIntRange) {
   EXPECT_THROW(parse_int32("-2147483649", "k"), ParseError);
 }
 
+TEST(ParseBool, AcceptsExactlyTheSixSpellings) {
+  for (const char* t : {"true", "1", "yes", " true ", "yes\n"}) {
+    EXPECT_TRUE(parse_bool(t, "--flag")) << t;
+  }
+  for (const char* f : {"false", "0", "no", "\tno"}) {
+    EXPECT_FALSE(parse_bool(f, "--flag")) << f;
+  }
+}
+
+TEST(ParseBool, RejectsEverythingElseNamingFlagAndText) {
+  for (const char* bad : {"ture", "", "2", "-1", "on", "off", "y", "n",
+                          "True", "FALSE", "BENCH_x.json", "1x", "yes please"}) {
+    EXPECT_THROW((void)parse_bool(bad, "--flag"), ParseError) << bad;
+  }
+  try {
+    (void)parse_bool("ture", "--deterministic");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("--deterministic"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("ture"), std::string::npos) << msg;
+  }
+}
+
 }  // namespace
 }  // namespace cpsguard::util

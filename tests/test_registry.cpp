@@ -9,6 +9,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "core/experiment.h"
 #include "registry/artifact.h"
@@ -90,6 +92,37 @@ TEST_F(RegistryTest, MmapLoadIsBitIdenticalForAllArchitectures) {
     EXPECT_EQ(rec.info.window, exp_.config().dataset.window);
   }
   EXPECT_EQ(reg.versions().size(), 3u);
+}
+
+// Inference is const: one monitor — owned or view-bound into the mmap —
+// serves concurrent readers, and every thread gets bit for bit what a
+// serial call returns. Under TSan this also shows that the reads write
+// nothing.
+TEST_F(RegistryTest, SharedConstMonitorReadsConcurrentlyBitIdentical) {
+  const auto check = [&](const monitor::MlMonitor& mon,
+                         const std::string& what) {
+    const nn::Tensor3 x = mon.scaler().transform(exp_.test_data().x);
+    const nn::Matrix serial = mon.predict_proba_scaled(x);
+    constexpr int kThreads = 4;
+    std::vector<nn::Matrix> got(kThreads);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] {
+        got[static_cast<std::size_t>(t)] = mon.predict_proba_scaled(x);
+      });
+    }
+    for (auto& r : readers) r.join();
+    for (const nn::Matrix& g : got) EXPECT_EQ(g, serial) << what;
+  };
+  for (const monitor::Arch arch :
+       {monitor::Arch::kMlp, monitor::Arch::kLstm, monitor::Arch::kGru}) {
+    const core::MonitorVariant v{arch, false};
+    check(exp_.monitor(v), v.name());
+  }
+  ModelRegistry reg(dir_);
+  const ModelRegistry::LoadedModel loaded =
+      reg.load(exp_.publish_monitor({monitor::Arch::kLstm, false}, reg));
+  check(*loaded.monitor, "view-bound LSTM");
 }
 
 TEST_F(RegistryTest, PublishChainsLineageAcrossVersions) {

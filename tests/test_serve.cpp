@@ -22,6 +22,7 @@
 
 #include "core/experiment.h"
 #include "core/online_monitor.h"
+#include "obs/metrics.h"
 #include "obs/sha256.h"
 #include "registry/registry.h"
 #include "serve/stable_hash.h"
@@ -602,6 +603,86 @@ TEST_F(ServeTest, SwapModelFromRegistryMatchesFromScratchEngine) {
   // Asking for a version the registry no longer holds is a typed error.
   EXPECT_THROW(engine.swap_model(reg, 1), CpsError);
   fs::remove_all(dir);
+}
+
+TEST_F(ServeTest, RegistrySwapServesFromTheMappingAfterGc) {
+  const fs::path dir =
+      fs::temp_directory_path() / "cpsguard_serve_registry_gc_served";
+  fs::remove_all(dir);
+  registry::ModelRegistry reg(dir.string());
+  ASSERT_EQ(exp_.publish_monitor(mlp_, reg), 1u);
+  ASSERT_EQ(exp_.publish_monitor(gru_, reg), 2u);
+
+  EngineConfig cfg;
+  cfg.window = window();
+  cfg.shards = 2;
+  cfg.max_batch = 8;
+
+  // Reference: v1 serving from the very first cycle.
+  Engine reference(mon(), cfg);
+  const std::string ref_stream = drive(exp_, reference, 4, [](int) {});
+
+  // Start on v2, swap the registry's v1 in, then GC v1's file away while
+  // it is the model being served. swap_model does not copy the weights, so
+  // every later verdict reads the retained mapping of an unlinked file.
+  const int steps = exp_.test_traces().front().length();
+  EngineConfig v2_cfg = cfg;
+  v2_cfg.initial_model_version = 2;
+  Engine engine(next_mon(), v2_cfg);
+  const std::string stream = drive(exp_, engine, 4, [&](int t) {
+    if (t == steps / 2) {
+      engine.swap_model(reg, 1);
+      EXPECT_EQ(reg.gc(1), (std::vector<std::uint64_t>{1}));
+      EXPECT_FALSE(fs::exists(reg.path_of(1)));
+    }
+  });
+  EXPECT_EQ(engine.active_version(), 1u);
+
+  // Every verdict after the activating tick is byte-identical to the
+  // from-scratch v1 engine, version column included.
+  std::map<std::string, std::string> ref_lines;
+  std::map<std::string, std::string> got_lines;
+  auto index = [](const std::string& s,
+                  std::map<std::string, std::string>& into) {
+    std::size_t pos = 0;
+    while (pos < s.size()) {
+      const std::size_t eol = s.find('\n', pos);
+      const std::string line = s.substr(pos, eol - pos);
+      into[line.substr(0, line.find(',', line.find(',') + 1))] = line;
+      pos = eol + 1;
+    }
+  };
+  index(ref_stream, ref_lines);
+  index(stream, got_lines);
+  int compared = 0;
+  for (const auto& [key, line] : got_lines) {
+    if (std::stoi(key.substr(key.find(',') + 1)) <= steps / 2) continue;
+    ASSERT_TRUE(ref_lines.count(key)) << key;
+    EXPECT_EQ(line, ref_lines[key]) << "post-GC divergence at " << key;
+    ++compared;
+  }
+  EXPECT_GT(compared, 0);
+  fs::remove_all(dir);
+}
+
+TEST_F(ServeTest, EngineAndStageCopyTheModelOnceWhateverTheShardCount) {
+  obs::Counter& clones = obs::Registry::instance().counter("monitor.clones");
+  const monitor::MlMonitor& current = mon();  // train before counting
+  const monitor::MlMonitor& candidate = next_mon();
+  EngineConfig cfg;
+  cfg.window = window();
+  cfg.shards = 8;
+  const std::uint64_t before = clones.value();
+  Engine engine(current, cfg);
+  EXPECT_EQ(clones.value() - before, 1u);
+  engine.stage_model(candidate, 2);
+  engine.stage_model(candidate, 3, SwapMode::kShadow);
+  EXPECT_EQ(clones.value() - before, 3u);
+  (void)engine.tick();
+  EXPECT_TRUE(engine.rollback());
+  (void)engine.tick();
+  EXPECT_EQ(engine.active_version(), 1u);
+  EXPECT_EQ(clones.value() - before, 3u);  // rollback re-stages, no copy
 }
 
 // ---- concurrent ingest -----------------------------------------------------
