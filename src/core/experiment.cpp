@@ -1,7 +1,6 @@
 #include "core/experiment.h"
 
 #include "core/online_monitor.h"
-#include "monitor/features.h"
 
 #include <algorithm>
 #include <cmath>
@@ -11,6 +10,7 @@
 #include <sstream>
 
 #include "obs/events.h"
+#include "obs/fileio.h"
 #include "obs/sha256.h"
 #include "obs/span.h"
 #include "registry/registry.h"
@@ -25,14 +25,10 @@ namespace cpsguard::core {
 
 namespace {
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+// Bump whenever simulator or training behaviour changes in a way the config
+// fields cannot show: it is hashed into config_fingerprint(), so one bump
+// invalidates cached models, checkpoint snapshots and sweep records together.
+constexpr int kBehaviourVersion = 1;
 
 // Per-architecture seed tag: every arch must map to a *distinct* value or
 // variants silently share weight-init streams (GRU used to collide with
@@ -90,6 +86,22 @@ std::optional<EvalResult> decode_eval(const std::string& payload) {
   const auto b = static_cast<std::uint64_t>(bits);
   std::memcpy(&r.robustness_err, &b, sizeof r.robustness_err);
   return r;
+}
+
+// An owned monitor from a verified artifact, or a typed reject when the
+// artifact was written for another variant or configuration. The clone
+// copies the weights out, so the monitor outlives the artifact's buffer.
+std::unique_ptr<monitor::MlMonitor> adopt(const registry::ModelArtifact& art,
+                                          const std::string& name,
+                                          const std::string& fingerprint) {
+  const registry::ModelMeta meta = registry::parse_model_meta(art);
+  if (meta.display_name != name || meta.config_fingerprint != fingerprint) {
+    throw registry::ModelFormatError(
+        "model artifact: holds " + meta.display_name + " for config " +
+        meta.config_fingerprint + ", expected " + name + " for config " +
+        fingerprint);
+  }
+  return registry::load_monitor(art)->clone();
 }
 
 }  // namespace
@@ -240,7 +252,8 @@ monitor::MonitorConfig Experiment::monitor_config(const MonitorVariant& v) const
 std::string Experiment::config_fingerprint() const {
   const auto& c = config_;
   std::ostringstream key;
-  key << kCheckpointSchema << '|' << sim::to_string(c.campaign.testbed) << '|'
+  key << kCheckpointSchema << "|b" << kBehaviourVersion << '|'
+      << sim::to_string(c.campaign.testbed) << '|'
       << c.campaign.patients << '|' << c.campaign.sims_per_patient << '|'
       << c.campaign.fault_fraction << '|' << c.campaign.trace_steps << '|'
       << c.campaign.seed << '|' << c.dataset.window << '|' << c.dataset.horizon
@@ -265,53 +278,86 @@ std::string Experiment::model_snapshot_key(const MonitorVariant& v) const {
   return "model|" + v.name() + '|' + config_fingerprint();
 }
 
-std::unique_ptr<monitor::MlMonitor> Experiment::try_load_snapshot(
-    const MonitorVariant& v) {
-  if (checkpoint_store_ == nullptr) return nullptr;
-  const auto payload = checkpoint_store_->get(model_snapshot_key(v));
-  if (!payload) return nullptr;
-  auto mon = std::make_unique<monitor::MlMonitor>(monitor_config(v));
-  try {
-    std::istringstream is(*payload);
-    mon->load(is, config_.dataset.window, monitor::Features::kNumFeatures);
-  } catch (const std::exception& e) {
-    util::log_warn("checkpoint snapshot load failed for ", v.name(), " (",
-                   e.what(), "), retraining");
-    return nullptr;
-  }
-  util::log_info("restored ", v.name(), " from checkpoint snapshot");
-  return mon;
-}
-
-void Experiment::snapshot_model(const MonitorVariant& v,
-                                const monitor::MlMonitor& mon) {
-  if (checkpoint_store_ == nullptr) return;
-  std::ostringstream os;
-  mon.save(os);
-  checkpoint_store_->put(model_snapshot_key(v), os.str());
-}
-
 std::string Experiment::cache_path(const MonitorVariant& v) const {
-  // Bump whenever simulator/training behaviour changes in ways the config
-  // hash cannot see (otherwise stale cached monitors would be reloaded).
-  constexpr int kCacheSchemaVersion = 3;
-  std::ostringstream key;
-  const auto& c = config_;
-  key << 'v' << kCacheSchemaVersion << '|' << sim::to_string(c.campaign.testbed) << '|' << c.campaign.patients << '|'
-      << c.campaign.sims_per_patient << '|' << c.campaign.fault_fraction << '|'
-      << c.campaign.trace_steps << '|' << c.campaign.seed << '|'
-      << c.dataset.window << '|' << c.dataset.horizon << '|'
-      << c.dataset.bg_target << '|' << c.train_fraction << '|' << c.epochs
-      << '|' << c.batch_size << '|' << c.learning_rate << '|'
-      // Key only the weight this variant actually trains with, so baseline
-      // caches survive semantic-weight tuning.
-      << (v.semantic ? monitor_config(v).semantic_weight : 0.0) << '|'
-      << (v.semantic ? static_cast<int>(monitor_config(v).semantic_mode) : -1)
-      << '|' << v.name();
-  std::ostringstream path;
-  path << config_.cache_dir << '/' << v.name() << '_' << std::hex
-       << fnv1a(key.str()) << ".monitor";
-  return path.str();
+  return config_.cache_dir + '/' + v.name() + '_' + config_fingerprint() +
+         ".model";
+}
+
+std::unique_ptr<monitor::MlMonitor> Experiment::restore(
+    const MonitorVariant& v) {
+  const auto attempt = [&](const char* source,
+                           const std::function<registry::ModelArtifact()>& read)
+      -> std::unique_ptr<monitor::MlMonitor> {
+    try {
+      auto mon = adopt(read(), v.name(), config_fingerprint());
+      util::log_info("restored ", v.name(), " from ", source);
+      return mon;
+    } catch (const CpsError& e) {
+      util::log_warn(source, " for ", v.name(), " rejected (", e.what(), ")");
+      return nullptr;
+    }
+  };
+  if (!config_.cache_dir.empty() && std::filesystem::exists(cache_path(v))) {
+    if (auto mon = attempt("model cache", [&] {
+          return registry::ModelArtifact::open(cache_path(v));
+        })) {
+      return mon;
+    }
+  }
+  if (checkpoint_store_ != nullptr) {
+    if (const auto payload = checkpoint_store_->get(model_snapshot_key(v))) {
+      return attempt("checkpoint snapshot", [&] {
+        return registry::ModelArtifact::parse(*payload);
+      });
+    }
+  }
+  return nullptr;
+}
+
+void Experiment::persist(const MonitorVariant& v, monitor::MlMonitor& mon) {
+  if (config_.cache_dir.empty() && checkpoint_store_ == nullptr) return;
+  registry::ModelMeta meta;  // version 0, no run ids: bytes are deterministic
+  meta.config_fingerprint = config_fingerprint();
+  meta.display_name = v.name();
+  meta.semantic = mon.config().semantic;
+  meta.hidden = mon.config().effective_hidden();
+  const std::string bytes = registry::build_model_artifact(mon, meta);
+  if (!config_.cache_dir.empty()) {
+    std::filesystem::create_directories(config_.cache_dir);
+    const std::string path = cache_path(v);
+    util::retry_call(util::RetryPolicy::for_file_io(), "experiment.cache",
+                     [&] { obs::atomic_write_file(path, bytes); });
+  }
+  if (checkpoint_store_ != nullptr) {
+    checkpoint_store_->put(model_snapshot_key(v), bytes);
+  }
+}
+
+void Experiment::hydrate(std::span<const MonitorVariant> variants) {
+  prepare();
+  // Restore sequentially (the maps are shared), then train every miss in
+  // parallel and persist the results.
+  std::vector<MonitorVariant> missing;
+  for (const auto& v : variants) {
+    if (monitors_.contains(v.name())) continue;
+    if (auto mon = restore(v)) {
+      monitors_.emplace(v.name(), std::move(mon));
+    } else {
+      util::log_info("training ", v.name(), " on ", data_->train.size(),
+                     " windows");
+      missing.push_back(v);
+    }
+  }
+  std::vector<std::unique_ptr<monitor::MlMonitor>> fresh(missing.size());
+  util::parallel_for(static_cast<int>(missing.size()), [&](int i) {
+    const auto si = static_cast<std::size_t>(i);
+    fresh[si] = std::make_unique<monitor::MlMonitor>(monitor_config(missing[si]));
+    fresh[si]->train(data_->train);
+  });
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    persist(missing[i], *fresh[i]);
+    monitors_.emplace(missing[i].name(), std::move(fresh[i]));
+  }
 }
 
 std::uint64_t Experiment::publish_monitor(const MonitorVariant& variant,
@@ -321,84 +367,14 @@ std::uint64_t Experiment::publish_monitor(const MonitorVariant& variant,
 }
 
 monitor::MlMonitor& Experiment::monitor(const MonitorVariant& v) {
-  prepare();
-  const std::string key = v.name();
-  const auto it = monitors_.find(key);
-  if (it != monitors_.end()) return *it->second;
-
-  auto mon = std::make_unique<monitor::MlMonitor>(monitor_config(v));
-  bool loaded = false;
-  if (!config_.cache_dir.empty()) {
-    const std::string path = cache_path(v);
-    if (std::filesystem::exists(path)) {
-      try {
-        mon->load(path, config_.dataset.window, monitor::Features::kNumFeatures);
-        loaded = true;
-        util::log_info("loaded ", key, " from cache: ", path);
-      } catch (const std::exception& e) {
-        util::log_warn("cache load failed for ", key, " (", e.what(),
-                       "), retraining");
-      }
-    }
-  }
-  if (!loaded) {
-    // File cache missed; a checkpoint snapshot (from a killed run of this
-    // same configuration) is the next-cheapest source before retraining.
-    if (auto snap = try_load_snapshot(v)) {
-      mon = std::move(snap);
-      loaded = true;
-    }
-  }
-  if (!loaded) {
-    util::log_info("training ", key, " on ", data_->train.size(), " windows");
-    mon->train(data_->train);
-    if (!config_.cache_dir.empty()) {
-      std::filesystem::create_directories(config_.cache_dir);
-      mon->save(cache_path(v));
-    }
-    snapshot_model(v, *mon);
-  }
-  auto [ins, _] = monitors_.emplace(key, std::move(mon));
-  return *ins->second;
+  hydrate({&v, 1});
+  return *monitors_.at(v.name());
 }
 
 void Experiment::train_all() {
   prepare();
   const obs::ScopedSpan span("train.all");
-  const auto variants = all_variants();
-  // monitor() mutates shared maps; hydrate sequentially but train the
-  // heavy part in parallel by pre-constructing monitors that miss the cache.
-  std::vector<const MonitorVariant*> missing;
-  for (const auto& v : variants) {
-    if (monitors_.contains(v.name())) continue;
-    if (!config_.cache_dir.empty() &&
-        std::filesystem::exists(cache_path(v))) {
-      continue;  // monitor(v) below hydrates from the file cache
-    }
-    if (auto snap = try_load_snapshot(v)) {
-      monitors_.emplace(v.name(), std::move(snap));
-      continue;
-    }
-    missing.push_back(&v);
-  }
-  if (!missing.empty()) {
-    std::vector<std::unique_ptr<monitor::MlMonitor>> fresh(missing.size());
-    util::parallel_for(static_cast<int>(missing.size()), [&](int i) {
-      auto mon = std::make_unique<monitor::MlMonitor>(
-          monitor_config(*missing[static_cast<std::size_t>(i)]));
-      mon->train(data_->train);
-      fresh[static_cast<std::size_t>(i)] = std::move(mon);
-    });
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      if (!config_.cache_dir.empty()) {
-        std::filesystem::create_directories(config_.cache_dir);
-        fresh[i]->save(cache_path(*missing[i]));
-      }
-      snapshot_model(*missing[i], *fresh[i]);
-      monitors_.emplace(missing[i]->name(), std::move(fresh[i]));
-    }
-  }
-  for (const auto& v : variants) monitor(v);  // hydrate cache hits
+  hydrate(all_variants());
 }
 
 safety::RuleBasedMonitor& Experiment::rule_monitor() {

@@ -218,21 +218,28 @@ class Experiment {
   }
 
   /// Stable digest of every config field that determines campaign outputs.
-  /// Checkpoint keys embed it, so records from a different configuration
-  /// can never be resumed into this one.
+  /// Checkpoint keys and model cache file names embed it, so records and
+  /// models from a different configuration are never reused by this one.
   [[nodiscard]] std::string config_fingerprint() const;
 
  private:
+  /// `cache_dir/<variant>_<config_fingerprint()>.model`.
   std::string cache_path(const MonitorVariant& variant) const;
+  /// Load-or-train every variant not yet in monitors_: restore() each one,
+  /// train the misses in parallel, persist() what was trained.
+  void hydrate(std::span<const MonitorVariant> variants);
+  /// The variant's monitor from the file cache, else from a checkpoint
+  /// snapshot; nullptr when neither holds a valid artifact for this
+  /// variant and configuration (a bad one is logged and ignored).
+  std::unique_ptr<monitor::MlMonitor> restore(const MonitorVariant& variant);
+  /// Write the trained monitor as one cpsguard.model.v1 artifact into the
+  /// file cache (atomic) and the checkpoint store, whichever are enabled.
+  void persist(const MonitorVariant& variant, monitor::MlMonitor& mon);
   attack::SubstituteAttack& substitute_for(const MonitorVariant& variant);
   const nn::Tensor3& scaled_test_input(const MonitorVariant& variant);
   std::string sweep_point_key(const char* kind, const MonitorVariant& variant,
                               double param, std::uint64_t extra) const;
   std::string model_snapshot_key(const MonitorVariant& variant) const;
-  std::unique_ptr<monitor::MlMonitor> try_load_snapshot(
-      const MonitorVariant& variant);
-  void snapshot_model(const MonitorVariant& variant,
-                      const monitor::MlMonitor& mon);
   /// Shared engine of the three sweeps: checkpoint prefill, parallel
   /// fan-out with retry + chaos seam + deadline polling, checkpoint put.
   std::vector<EvalResult> run_checkpointed_sweep(

@@ -1,8 +1,5 @@
 #include "monitor/ml_monitor.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "nn/gru_classifier.h"
 #include "nn/lstm_classifier.h"
 #include "nn/serialize.h"
@@ -175,46 +172,15 @@ nn::Classifier& MlMonitor::classifier() {
   return *clf_;
 }
 
-void MlMonitor::save(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open monitor file for writing: " + path);
-  save(f);
-}
-
-void MlMonitor::save(std::ostream& os) const {
-  expects(trained(), "monitor not trained");
-  scaler_.save(os);
-  const auto ps = clf_->params();
-  nn::save_params(os, ps);
-}
-
 std::unique_ptr<MlMonitor> MlMonitor::clone() const {
   expects(trained(), "monitor not trained");
   static obs::Counter& clones = obs::Registry::instance().counter("monitor.clones");
   clones.increment();
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  scaler_.save(buf);
-  const auto src_params = clf_->params();
-  nn::save_params(buf, src_params);
   auto out = std::make_unique<MlMonitor>(config_);
-  out->scaler_.load(buf);
+  out->scaler_ = scaler_;
   out->build_classifier(clf_->time_steps(), clf_->features());
-  const auto dst_params = out->clf_->params();
-  nn::load_params(buf, dst_params);
+  nn::copy_params(clf_->params(), out->clf_->params());
   return out;
-}
-
-void MlMonitor::load(const std::string& path, int window, int features) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open monitor file for reading: " + path);
-  load(f, window, features);
-}
-
-void MlMonitor::load(std::istream& is, int window, int features) {
-  scaler_.load(is);
-  build_classifier(window, features);
-  const auto ps = clf_->params();
-  nn::load_params(is, ps);
 }
 
 void MlMonitor::bind(std::istream& scaler_stream, int window, int features,

@@ -84,15 +84,6 @@ class MlMonitor {
   [[nodiscard]] const StandardScaler& scaler() const;
   [[nodiscard]] nn::Classifier& classifier();
 
-  /// Persist / restore (scaler + weights). The config must match at load.
-  void save(const std::string& path) const;
-  void load(const std::string& path, int window, int features);
-
-  /// Stream forms, for embedding snapshots in checkpoint records (see
-  /// core::CheckpointStore) instead of loose cache files.
-  void save(std::ostream& os) const;
-  void load(std::istream& is, int window, int features);
-
   /// Zero-copy restore: the scaler loads from a byte stream, the weights
   /// bind as non-owning views into externally owned storage (the mmap'd
   /// model artifact), copying no float. The backing buffer must outlive the

@@ -1,9 +1,6 @@
 #include "nn/serialize.h"
 
-#include <cstdint>
-#include <fstream>
-#include <istream>
-#include <ostream>
+#include <algorithm>
 
 #include "util/error.h"
 
@@ -11,116 +8,41 @@ namespace cpsguard::nn {
 
 namespace {
 
-constexpr char kMagic[4] = {'C', 'P', 'S', 'G'};
-constexpr std::uint32_t kVersion = 1;
-
-void write_u32(std::ostream& os, std::uint32_t v) {
-  unsigned char buf[4] = {static_cast<unsigned char>(v & 0xff),
-                          static_cast<unsigned char>((v >> 8) & 0xff),
-                          static_cast<unsigned char>((v >> 16) & 0xff),
-                          static_cast<unsigned char>((v >> 24) & 0xff)};
-  os.write(reinterpret_cast<const char*>(buf), 4);
+void require_count(std::size_t got, std::size_t want, const char* what) {
+  if (got != want) {
+    throw CpsError(std::string("tensor count mismatch: ") + what + " has " +
+                   std::to_string(got) + ", model has " + std::to_string(want));
+  }
 }
 
-std::uint32_t read_u32(std::istream& is) {
-  unsigned char buf[4];
-  is.read(reinterpret_cast<char*>(buf), 4);
-  if (!is) throw CpsError("model stream truncated");
-  return static_cast<std::uint32_t>(buf[0]) |
-         (static_cast<std::uint32_t>(buf[1]) << 8) |
-         (static_cast<std::uint32_t>(buf[2]) << 16) |
-         (static_cast<std::uint32_t>(buf[3]) << 24);
+void require_same(const Param& p, const std::string& name, int rows, int cols,
+                  const char* what) {
+  if (name != p.name || rows != p.value.rows() || cols != p.value.cols()) {
+    throw CpsError("tensor mismatch at '" + p.name + "': " + what +
+                   " has '" + name + "' " + std::to_string(rows) + "x" +
+                   std::to_string(cols));
+  }
 }
 
 }  // namespace
 
-void save_params(std::ostream& os, std::span<Param* const> params) {
-  os.write(kMagic, 4);
-  write_u32(os, kVersion);
-  write_u32(os, static_cast<std::uint32_t>(params.size()));
-  for (const Param* p : params) {
-    write_u32(os, static_cast<std::uint32_t>(p->name.size()));
-    os.write(p->name.data(), static_cast<std::streamsize>(p->name.size()));
-    write_u32(os, static_cast<std::uint32_t>(p->value.rows()));
-    write_u32(os, static_cast<std::uint32_t>(p->value.cols()));
-    const auto data = p->value.data();
-    os.write(reinterpret_cast<const char*>(data.data()),
-             static_cast<std::streamsize>(data.size() * sizeof(float)));
-  }
-  if (!os) throw CpsError("failed writing model stream");
-}
-
-void load_params(std::istream& is, std::span<Param* const> params) {
-  char magic[4];
-  is.read(magic, 4);
-  if (!is || std::string(magic, 4) != std::string(kMagic, 4)) {
-    throw CpsError("bad model magic");
-  }
-  const std::uint32_t version = read_u32(is);
-  if (version != kVersion) {
-    throw CpsError("unsupported model version " + std::to_string(version));
-  }
-  const std::uint32_t count = read_u32(is);
-  if (count != params.size()) {
-    throw CpsError("param count mismatch: stream has " +
-                   std::to_string(count) + ", model has " +
-                   std::to_string(params.size()));
-  }
-  for (Param* p : params) {
-    // Check the length against the expected name *before* allocating: a
-    // corrupt stream declaring name_len = 0xffffffff must not trigger a
-    // 4 GiB allocation (allocation bomb, found by fuzz target "serialize").
-    const std::uint32_t name_len = read_u32(is);
-    if (name_len != p->name.size()) {
-      throw CpsError("param mismatch while loading '" + p->name + "'");
-    }
-    std::string name(name_len, '\0');
-    is.read(name.data(), static_cast<std::streamsize>(name_len));
-    const std::uint32_t rows = read_u32(is);
-    const std::uint32_t cols = read_u32(is);
-    if (!is || name != p->name ||
-        rows != static_cast<std::uint32_t>(p->value.rows()) ||
-        cols != static_cast<std::uint32_t>(p->value.cols())) {
-      throw CpsError("param mismatch while loading '" + p->name + "'");
-    }
-    auto data = p->value.data();
-    is.read(reinterpret_cast<char*>(data.data()),
-            static_cast<std::streamsize>(data.size() * sizeof(float)));
-    if (!is) throw CpsError("model stream truncated in '" + p->name + "'");
-  }
-}
-
-void save_classifier(const std::string& path, Classifier& clf) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw CpsError("cannot open model file for writing: " + path);
-  const auto ps = clf.params();
-  save_params(f, ps);
-}
-
-void load_classifier(const std::string& path, Classifier& clf) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw CpsError("cannot open model file for reading: " + path);
-  const auto ps = clf.params();
-  load_params(f, ps);
-}
-
 void bind_params(std::span<Param* const> params,
                  std::span<const WeightView> views) {
-  if (views.size() != params.size()) {
-    throw CpsError("tensor count mismatch: artifact has " +
-                   std::to_string(views.size()) + ", model has " +
-                   std::to_string(params.size()));
-  }
+  require_count(views.size(), params.size(), "artifact");
   for (std::size_t i = 0; i < params.size(); ++i) {
-    Param* p = params[i];
     const WeightView& v = views[i];
-    if (v.name != p->name ||
-        v.rows != p->value.rows() || v.cols != p->value.cols()) {
-      throw CpsError("tensor mismatch while binding '" + p->name +
-                     "': artifact has '" + v.name + "' " +
-                     std::to_string(v.rows) + "x" + std::to_string(v.cols));
-    }
-    p->value = Matrix::view(v.data, v.rows, v.cols);
+    require_same(*params[i], v.name, v.rows, v.cols, "artifact");
+    params[i]->value = Matrix::view(v.data, v.rows, v.cols);
+  }
+}
+
+void copy_params(std::span<Param* const> src, std::span<Param* const> dst) {
+  require_count(src.size(), dst.size(), "source");
+  for (std::size_t i = 0; i < dst.size(); ++i) {
+    const Param& s = *src[i];
+    require_same(*dst[i], s.name, s.value.rows(), s.value.cols(), "source");
+    const std::span<const float> from = s.value.data();
+    std::copy(from.begin(), from.end(), dst[i]->value.data().begin());
   }
 }
 

@@ -1,11 +1,9 @@
-// Binary serialization of model parameters. Used by the experiment cache so
-// repeated bench runs skip retraining, and to ship trained monitors.
-//
-// Format: magic "CPSG", u32 version, u32 param count, then for each param:
-// u32 name length + bytes, u32 rows, u32 cols, rows*cols little-endian f32.
+// Weight plumbing between classifiers and external storage. Models persist
+// only as cpsguard.model.v1 artifacts (src/registry); this header binds a
+// classifier's params to an artifact's tensors and deep-copies params
+// between two classifiers of the same shape.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <string>
 
@@ -13,19 +11,8 @@
 
 namespace cpsguard::nn {
 
-void save_params(std::ostream& os, std::span<Param* const> params);
-
-/// Load into existing params: names, order and shapes must match what was
-/// saved. Throws CpsError on any mismatch or truncated stream; hostile
-/// headers (e.g. a 4 GiB name length) are rejected before any allocation.
-void load_params(std::istream& is, std::span<Param* const> params);
-
-/// Convenience wrappers over file paths.
-void save_classifier(const std::string& path, Classifier& clf);
-void load_classifier(const std::string& path, Classifier& clf);
-
 /// One named tensor living in externally owned storage (an mmap'd model
-/// artifact): the zero-copy counterpart of a serialized param record.
+/// artifact).
 struct WeightView {
   std::string name;
   int rows = 0;
@@ -40,5 +27,10 @@ struct WeightView {
 /// the borrowed-matrix contract).
 void bind_params(std::span<Param* const> params,
                  std::span<const WeightView> views);
+
+/// Copy every value float of `src` into the owned storage of `dst` (raw
+/// floats, so the copy is bit-identical). Names, order and shapes must
+/// match exactly; throws CpsError otherwise. `src` may be view-bound.
+void copy_params(std::span<Param* const> src, std::span<Param* const> dst);
 
 }  // namespace cpsguard::nn

@@ -255,7 +255,7 @@ TEST(SubstituteAttack, UnfittedOperationsThrow) {
   const nn::Tensor3 x = random_windows(2, 2, rng);
   const std::vector<int> labels = {0, 1};
   EXPECT_THROW(sub.craft(x, labels, FgsmConfig{}), cpsguard::ContractViolation);
-  EXPECT_THROW(sub.substitute(), cpsguard::ContractViolation);
+  EXPECT_THROW((void)sub.substitute(), cpsguard::ContractViolation);
 }
 
 TEST(ToString, MaskNames) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "nn/gradcheck.h"
+#include "nn/serialize.h"
 #include "util/contracts.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace cpsguard::nn {
@@ -147,6 +149,24 @@ TEST(PredictClasses, PicksArgmax) {
     const int want = p.at(i, 1) > p.at(i, 0) ? 1 : 0;
     EXPECT_EQ(preds[static_cast<std::size_t>(i)], want);
   }
+}
+
+TEST(CopyParams, CopiesExactlyAndRejectsMismatchedModels) {
+  util::Rng rng(21);
+  MlpClassifier src(2, 3, {4}, 2, rng);
+  util::Rng other(22);
+  MlpClassifier dst(2, 3, {4}, 2, other);
+  copy_params(src.params(), dst.params());
+  util::Rng xr(23);
+  const Tensor3 x = random_tensor(5, 2, 3, xr);
+  EXPECT_TRUE(src.predict_proba(x) == dst.predict_proba(x));
+
+  util::Rng r2(24);
+  MlpClassifier wider(2, 3, {5}, 2, r2);  // same names, other shapes
+  EXPECT_THROW(copy_params(src.params(), wider.params()), cpsguard::CpsError);
+  util::Rng r3(25);
+  MlpClassifier deeper(2, 3, {4, 4}, 2, r3);  // more tensors
+  EXPECT_THROW(copy_params(src.params(), deeper.params()), cpsguard::CpsError);
 }
 
 }  // namespace

@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <utility>
 
+#include "obs/metrics.h"
+#include "registry/artifact.h"
 #include "util/contracts.h"
+#include "util/logging.h"
 
 namespace cpsguard::core {
 namespace {
@@ -145,11 +150,23 @@ TEST_F(ExperimentTest, CleanPredictionsAreMemoized) {
   EXPECT_EQ(&a, &b);
 }
 
-TEST(ExperimentCache, SaveAndReloadProducesSamePredictions) {
-  const std::string cache =
-      (std::filesystem::temp_directory_path() / "cpsguard_test_cache").string();
-  std::filesystem::remove_all(cache);
+std::uint64_t epochs_trained() {
+  return obs::Registry::instance().counter("nn.epochs_trained").value();
+}
 
+std::string fresh_cache_dir() {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("cpsguard_test_cache_" +
+        std::string(
+            ::testing::UnitTest::GetInstance()->current_test_info()->name())))
+          .string();
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+TEST(ExperimentCache, SaveAndReloadProducesSamePredictions) {
+  const std::string cache = fresh_cache_dir();
   ExperimentConfig cfg = tiny_config();
   cfg.cache_dir = cache;
   const MonitorVariant v{monitor::Arch::kMlp, false};
@@ -160,12 +177,135 @@ TEST(ExperimentCache, SaveAndReloadProducesSamePredictions) {
     first = e1.monitor(v).predict(e1.test_data().x);
   }
   {
-    Experiment e2(cfg);  // must hit the cache
+    Experiment e2(cfg);
+    e2.prepare();
+    const std::uint64_t epochs_before = epochs_trained();
     const auto second = e2.monitor(v).predict(e2.test_data().x);
+    EXPECT_EQ(epochs_trained(), epochs_before) << "cache miss: retrained";
     EXPECT_EQ(first, second);
   }
-  EXPECT_FALSE(std::filesystem::is_empty(cache));
+  const std::string path =
+      cache + "/MLP_" + Experiment(cfg).config_fingerprint() + ".model";
+  EXPECT_NO_THROW((void)registry::ModelArtifact::open(path));
   std::filesystem::remove_all(cache);
+}
+
+// One flipped byte anywhere in a cached model (fixed header, meta JSON,
+// weight blob, SHA-256 trailer) must be a logged typed reject followed by a
+// retrain that rewrites a valid artifact — never a silent load.
+TEST(ExperimentCache, CorruptCachedModelIsRejectedAndRetrained) {
+  const std::string cache = fresh_cache_dir();
+  ExperimentConfig cfg = tiny_config();
+  cfg.cache_dir = cache;
+  const MonitorVariant v{monitor::Arch::kMlp, false};
+  const std::string path =
+      cache + "/MLP_" + Experiment(cfg).config_fingerprint() + ".model";
+
+  std::vector<int> reference;
+  {
+    Experiment e(cfg);
+    reference = e.monitor(v).predict(e.test_data().x);
+  }
+  const auto size = static_cast<std::streamoff>(std::filesystem::file_size(path));
+  const struct {
+    const char* region;
+    std::streamoff offset;
+  } flips[] = {{"header", 20},
+               {"meta", 130},
+               {"blob", size - 33},  // last weight byte before the trailer
+               {"sha", size - 1}};
+  const util::LogLevel saved_level = util::log_level();
+  util::set_log_level(util::LogLevel::kWarn);
+  for (const auto& flip : flips) {
+    SCOPED_TRACE(flip.region);
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(flip.offset);
+      const char c = static_cast<char>(f.get());
+      f.seekp(flip.offset);
+      f.put(static_cast<char>(c ^ 0x5a));
+    }
+    EXPECT_THROW((void)registry::ModelArtifact::open(path),
+                 registry::ModelFormatError);
+
+    Experiment e(cfg);
+    e.prepare();
+    const std::uint64_t epochs_before = epochs_trained();
+    ::testing::internal::CaptureStderr();
+    const auto preds = e.monitor(v).predict(e.test_data().x);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("model cache for MLP rejected (model artifact"),
+              std::string::npos)
+        << log;
+    EXPECT_GT(epochs_trained(), epochs_before) << "corrupt cache was loaded";
+    EXPECT_EQ(preds, reference);
+    EXPECT_NO_THROW((void)registry::ModelArtifact::open(path));
+  }
+  {
+    // A valid artifact under another variant's name is rejected too.
+    SCOPED_TRACE("foreign variant");
+    const MonitorVariant custom{monitor::Arch::kMlp, true};
+    const std::string custom_path =
+        cache + "/MLP-Custom_" + Experiment(cfg).config_fingerprint() + ".model";
+    std::filesystem::copy_file(path, custom_path);
+    Experiment e(cfg);
+    e.prepare();
+    const std::uint64_t epochs_before = epochs_trained();
+    ::testing::internal::CaptureStderr();
+    (void)e.monitor(custom);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("model cache for MLP-Custom rejected (model artifact: "
+                       "holds MLP for config"),
+              std::string::npos)
+        << log;
+    EXPECT_GT(epochs_trained(), epochs_before);
+  }
+  util::set_log_level(saved_level);
+  std::filesystem::remove_all(cache);
+}
+
+// The fingerprint is the only cache key: every field that shapes the
+// campaign, the datasets or training must move it.
+TEST(ExperimentCache, FingerprintCoversEveryTrainingField) {
+  const ExperimentConfig base = tiny_config();
+  const std::string base_fp = Experiment(base).config_fingerprint();
+  const std::vector<std::pair<const char*, void (*)(ExperimentConfig&)>>
+      edits = {
+          {"testbed",
+           [](ExperimentConfig& c) {
+             c.campaign.testbed = sim::Testbed::kT1dBasalBolus;
+           }},
+          {"patients", [](ExperimentConfig& c) { c.campaign.patients += 1; }},
+          {"sims",
+           [](ExperimentConfig& c) { c.campaign.sims_per_patient += 1; }},
+          {"fault_fraction",
+           [](ExperimentConfig& c) { c.campaign.fault_fraction = 0.5; }},
+          {"trace_steps",
+           [](ExperimentConfig& c) { c.campaign.trace_steps += 1; }},
+          {"seed", [](ExperimentConfig& c) { c.campaign.seed += 1; }},
+          {"window", [](ExperimentConfig& c) { c.dataset.window += 1; }},
+          {"horizon", [](ExperimentConfig& c) { c.dataset.horizon += 1; }},
+          {"bg_target", [](ExperimentConfig& c) { c.dataset.bg_target += 1; }},
+          {"train_fraction",
+           [](ExperimentConfig& c) { c.train_fraction = 0.6; }},
+          {"epochs", [](ExperimentConfig& c) { c.epochs += 1; }},
+          {"batch_size", [](ExperimentConfig& c) { c.batch_size += 1; }},
+          {"learning_rate",
+           [](ExperimentConfig& c) { c.learning_rate = 0.002; }},
+          {"semantic_weight_mlp",
+           [](ExperimentConfig& c) { c.semantic_weight_mlp = 0.75; }},
+          {"semantic_weight_lstm",
+           [](ExperimentConfig& c) { c.semantic_weight_lstm = 1.5; }},
+      };
+  for (const auto& [field, edit] : edits) {
+    ExperimentConfig changed = base;
+    edit(changed);
+    EXPECT_NE(Experiment(changed).config_fingerprint(), base_fp) << field;
+  }
+  // The cache location is not part of the configuration.
+  ExperimentConfig moved = base;
+  moved.cache_dir = "elsewhere";
+  EXPECT_EQ(Experiment(moved).config_fingerprint(), base_fp);
 }
 
 TEST(ExperimentT1d, SecondTestbedWorksEndToEnd) {

@@ -2,11 +2,9 @@
 
 #include "eval/batch_eval.h"
 #include "monitor/features.h"
+#include "registry/model_io.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <filesystem>
 
 #include "sim/closed_loop.h"
 #include "util/contracts.h"
@@ -99,19 +97,21 @@ TEST(MlMonitor, ScaledAndRawPredictionsAgree) {
   EXPECT_EQ(raw, scaled);
 }
 
+// Monitors persist only as cpsguard.model.v1 artifacts: scaler and weights
+// must survive the write/parse/load round trip exactly.
 TEST(MlMonitor, SaveLoadRoundtripPreservesPredictions) {
   const Dataset ds = small_dataset(5);
   MlMonitor a(fast_config(Arch::kLstm, false));
   a.train(ds);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cpsguard_monitor_test.bin").string();
-  a.save(path);
-
-  MlMonitor b(fast_config(Arch::kLstm, false));
-  b.load(path, ds.config.window, Features::kNumFeatures);
-  EXPECT_TRUE(b.trained());
-  EXPECT_EQ(a.predict(ds.x), b.predict(ds.x));
-  std::remove(path.c_str());
+  registry::ModelMeta meta;
+  meta.display_name = "LSTM";
+  meta.hidden = a.config().effective_hidden();
+  const registry::ModelArtifact art =
+      registry::ModelArtifact::parse(registry::build_model_artifact(a, meta));
+  const auto b = registry::load_monitor(art);
+  EXPECT_TRUE(b->trained());
+  EXPECT_EQ(b->config().arch, Arch::kLstm);
+  EXPECT_TRUE(a.predict_proba(ds.x) == b->predict_proba(ds.x));
 }
 
 TEST(MlMonitor, UntrainedOperationsThrow) {
@@ -120,7 +120,7 @@ TEST(MlMonitor, UntrainedOperationsThrow) {
   EXPECT_THROW(mon.predict(x), cpsguard::ContractViolation);
   EXPECT_THROW((void)mon.classifier(), cpsguard::ContractViolation);
   EXPECT_THROW((void)mon.scaler(), cpsguard::ContractViolation);
-  EXPECT_THROW(mon.save("/tmp/x.bin"), cpsguard::ContractViolation);
+  EXPECT_THROW((void)mon.clone(), cpsguard::ContractViolation);
 }
 
 TEST(MlMonitor, DeterministicGivenSeed) {
@@ -148,16 +148,43 @@ TEST(MlMonitor, SeedChangesModel) {
   EXPECT_GT(diff, 1e-3);
 }
 
+void expect_identical_owned_copy(const MlMonitor& src, MlMonitor& copy,
+                                 const Dataset& ds) {
+  ASSERT_TRUE(copy.trained());
+  EXPECT_EQ(copy.config().arch, src.config().arch);
+  EXPECT_TRUE(src.predict_proba(ds.x) == copy.predict_proba(ds.x));
+  EXPECT_EQ(src.predict(ds.x), copy.predict(ds.x));
+  for (const nn::Param* p : copy.classifier().params()) {
+    EXPECT_FALSE(p->value.borrowed()) << p->name;
+  }
+}
+
 TEST(MlMonitor, CloneIsBitIdenticalAndIndependent) {
   const Dataset ds = small_dataset(8);
-  MlMonitor mon(fast_config(Arch::kMlp, false));
-  mon.train(ds);
-  const auto copy = mon.clone();
-  ASSERT_TRUE(copy->trained());
-  EXPECT_TRUE(mon.predict_proba(ds.x) == copy->predict_proba(ds.x));
-  EXPECT_EQ(mon.predict(ds.x), copy->predict(ds.x));
-  // Independent object: the clone survives the original.
-  EXPECT_NE(&mon.classifier(), &copy->classifier());
+  for (const Arch arch : {Arch::kMlp, Arch::kLstm, Arch::kGru}) {
+    SCOPED_TRACE(to_string(arch));
+    MlMonitor mon(fast_config(arch, false));
+    mon.train(ds);
+    const auto copy = mon.clone();
+    expect_identical_owned_copy(mon, *copy, ds);
+    // Independent object: the clone survives the original.
+    EXPECT_NE(&mon.classifier(), &copy->classifier());
+
+    // A registry-bound source (weights are views into the artifact's
+    // buffer) clones into owned storage that outlives the artifact.
+    registry::ModelMeta meta;
+    meta.display_name = to_string(arch);
+    meta.hidden = mon.config().effective_hidden();
+    std::unique_ptr<MlMonitor> from_view;
+    {
+      const registry::ModelArtifact art = registry::ModelArtifact::parse(
+          registry::build_model_artifact(mon, meta));
+      const auto bound = registry::load_monitor(art);
+      ASSERT_TRUE(bound->classifier().params().front()->value.borrowed());
+      from_view = bound->clone();
+    }
+    expect_identical_owned_copy(mon, *from_view, ds);
+  }
 }
 
 TEST(BatchEval, ChunkedPredictProbaMatchesSingleCall) {

@@ -13,6 +13,8 @@
 
 #include "core/checkpoint.h"
 #include "core/experiment.h"
+#include "obs/metrics.h"
+#include "registry/artifact.h"
 #include "util/chaos.h"
 #include "util/csv.h"
 #include "util/deadline.h"
@@ -188,6 +190,36 @@ TEST_F(ResumeTest, CorruptedAndTruncatedRecordsAreHealedOnResume) {
   expect_bit_identical(exp2.evaluate_under_gaussian_sweep(kVariant, sigmas()),
                        baseline());
   EXPECT_EQ(healed.stats().puts, 0u);
+}
+
+// The snapshot payload is a cpsguard.model.v1 artifact. Stored under a
+// valid record checksum, a flipped payload byte gets past the store, so the
+// artifact's own verification must reject it and the run must retrain.
+TEST_F(ResumeTest, CorruptSnapshotPayloadIsRejectedAndRetrained) {
+  const std::string key =
+      "model|" + kVariant.name() + '|' +
+      core::Experiment(mini_config()).config_fingerprint();
+  {
+    core::CheckpointStore store(dir_);
+    core::Experiment exp(mini_config());
+    exp.set_checkpoint_store(&store);
+    exp.monitor(kVariant);
+    std::string payload = store.get(key).value();
+    EXPECT_NO_THROW((void)registry::ModelArtifact::parse(payload));
+    payload[payload.size() / 2] ^= 0x01;
+    store.put(key, payload);
+  }
+  core::CheckpointStore resumed(dir_);
+  core::Experiment exp(mini_config());
+  exp.set_checkpoint_store(&resumed);
+  const std::uint64_t epochs_before =
+      obs::Registry::instance().counter("nn.epochs_trained").value();
+  const auto results = exp.evaluate_under_gaussian_sweep(kVariant, sigmas());
+  expect_bit_identical(results, baseline());
+  EXPECT_GT(obs::Registry::instance().counter("nn.epochs_trained").value(),
+            epochs_before);
+  // The retrain re-put a valid snapshot.
+  EXPECT_NO_THROW((void)registry::ModelArtifact::parse(resumed.get(key).value()));
 }
 
 TEST_F(ResumeTest, DeadlineAbortThenResumeIsByteIdentical) {
