@@ -174,12 +174,7 @@ class BenchRun {
   /// Reject typos, then (unless --manifest false) write BENCH_<name>.json.
   void finish(const util::Cli& cli) {
     reject_unknown_flags(cli);
-    if (store_) {
-      const core::CheckpointStats stats = store_->stats();
-      manifest_.set_resume(obs::ResumeInfo{store_->run_id(),
-                                           store_->parent_run_id(), stats.hits,
-                                           stats.discarded});
-    }
+    if (store_) manifest_.set_resume(store_->resume_info());
     if (manifest_enabled_) {
       const std::string path = manifest_.write();
       std::fprintf(stderr, "wrote %s\n", path.c_str());

@@ -16,7 +16,6 @@
 //   --shards N      engine shards (0 = thread count)     (default 0)
 //   --batch N       engine micro-batch rows              (default 64)
 //   --queue N       per-shard queue capacity (0 = auto)  (default 0)
-//   --deterministic B  serial shard flushes              (default false)
 #include <algorithm>
 #include <cstdio>
 
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
   const int ttl = cli.get_int("ttl", 8);
   const double abandon = cli.get_double("abandon", 0.2);
   const double reconnect = cli.get_double("reconnect", 0.25);
-  const bool deterministic = cli.get_bool("deterministic", false);
   const int threads = static_cast<int>(util::effective_parallelism());
   const int shards = cli.get_int("shards", 0) > 0 ? cli.get_int("shards", 0)
                                                   : threads;
@@ -76,7 +74,6 @@ int main(int argc, char** argv) {
   cfg.engine.shards = shards;
   cfg.engine.max_batch = batch;
   cfg.engine.queue_capacity = queue;
-  cfg.engine.deterministic = deterministic;
   cfg.engine.idle_ttl_ticks = ttl;
   cfg.ticks = ticks;
   cfg.seed = exp.config().campaign.seed;
@@ -92,7 +89,6 @@ int main(int argc, char** argv) {
   run.manifest().set_param("shards", static_cast<long long>(shards));
   run.manifest().set_param("batch", static_cast<long long>(batch));
   run.manifest().set_param("queue_capacity", static_cast<long long>(queue));
-  run.manifest().set_param("deterministic", deterministic ? 1LL : 0LL);
 
   // Invariants stay armed: a bench that would report throughput for a
   // stream violating verdict conservation aborts loudly instead.
@@ -122,7 +118,7 @@ int main(int argc, char** argv) {
                std::to_string(report.verdicts),
                std::to_string(report.rejected_queue_full),
                std::to_string(report.rejected_session_limit),
-               std::to_string(report.evictions),
+               std::to_string(report.eviction_log.size()),
                std::to_string(report.rejoins),
                util::CsvWriter::num(report.seconds),
                util::CsvWriter::num(records_per_sec),
@@ -138,7 +134,8 @@ int main(int argc, char** argv) {
   table.add_row({"records accepted", std::to_string(report.accepted)});
   table.add_row({"verdicts", std::to_string(report.verdicts)});
   table.add_row({"rejoins", std::to_string(report.rejoins)});
-  table.add_row({"TTL evictions", std::to_string(report.evictions)});
+  table.add_row(
+      {"TTL evictions", std::to_string(report.eviction_log.size())});
   table.add_row({"records/s", util::Table::fixed(records_per_sec, 0)});
   table.add_row({"windows/s", util::Table::fixed(windows_per_sec, 0)});
   table.add_row({"latency p50 (ticks)", util::Table::fixed(p50, 0)});

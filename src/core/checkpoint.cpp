@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "obs/fileio.h"
-#include "obs/metrics.h"
 #include "obs/sha256.h"
 #include "util/chaos.h"
 #include "util/contracts.h"
@@ -23,23 +22,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kMetaFile = "_store_meta";
-
-struct StoreMetrics {
-  obs::Counter& puts;
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& discarded;
-
-  static StoreMetrics& get() {
-    static StoreMetrics m{
-        obs::Registry::instance().counter("checkpoint.puts"),
-        obs::Registry::instance().counter("checkpoint.hits"),
-        obs::Registry::instance().counter("checkpoint.misses"),
-        obs::Registry::instance().counter("checkpoint.discarded"),
-    };
-    return m;
-  }
-};
 
 std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -146,11 +128,8 @@ void CheckpointStore::put(const std::string& key, std::string_view payload) {
   // Chaos corruption seam: bit rot / torn storage happens *after* a clean
   // write; the self-check at load is what recovers from it.
   util::chaos().maybe_corrupt_file(path, key);
-  {
-    const std::scoped_lock lock(mutex_);
-    ++stats_.puts;
-  }
-  StoreMetrics::get().puts.increment();
+  const std::scoped_lock lock(mutex_);
+  ++stats_.puts;
 }
 
 std::optional<std::string> CheckpointStore::get(const std::string& key) {
@@ -159,7 +138,6 @@ std::optional<std::string> CheckpointStore::get(const std::string& key) {
   if (!fs::exists(path, ec) || ec) {
     const std::scoped_lock lock(mutex_);
     ++stats_.misses;
-    StoreMetrics::get().misses.increment();
     return std::nullopt;
   }
   const auto bytes = read_file(path);
@@ -172,14 +150,10 @@ std::optional<std::string> CheckpointStore::get(const std::string& key) {
     fs::remove(path, ec);
     const std::scoped_lock lock(mutex_);
     ++stats_.discarded;
-    StoreMetrics::get().discarded.increment();
     return std::nullopt;
   }
-  {
-    const std::scoped_lock lock(mutex_);
-    ++stats_.hits;
-  }
-  StoreMetrics::get().hits.increment();
+  const std::scoped_lock lock(mutex_);
+  ++stats_.hits;
   return payload;
 }
 
@@ -190,6 +164,12 @@ bool CheckpointStore::contains(const std::string& key) {
 CheckpointStats CheckpointStore::stats() const {
   const std::scoped_lock lock(mutex_);
   return stats_;
+}
+
+obs::ResumeInfo CheckpointStore::resume_info() const {
+  const CheckpointStats s = stats();
+  return obs::ResumeInfo{run_id_, parent_run_id_, s.hits, s.discarded,
+                         s.puts, s.misses};
 }
 
 }  // namespace cpsguard::core

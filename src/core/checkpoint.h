@@ -12,8 +12,8 @@
 // byte-identical to an uninterrupted run).
 //
 // Lineage: the store's meta record carries a fresh run_id per open plus the
-// previous opener's run_id as parent, which the bench manifest records so
-// resumed runs stay auditable.
+// previous opener's run_id as parent, which the bench manifest records
+// (resume_info()) so resumed runs stay auditable.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +21,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+
+#include "obs/manifest.h"
 
 namespace cpsguard::core {
 
@@ -61,6 +63,10 @@ class CheckpointStore {
   bool contains(const std::string& key);
 
   [[nodiscard]] CheckpointStats stats() const;
+
+  /// Lineage plus all four stats() counts, as the bench manifest's
+  /// "resume" section records them.
+  [[nodiscard]] obs::ResumeInfo resume_info() const;
 
  private:
   [[nodiscard]] std::string record_path(const std::string& key) const;

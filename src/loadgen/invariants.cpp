@@ -28,7 +28,6 @@ InvariantChecker::InvariantChecker(int window, std::size_t queue_bound,
 void InvariantChecker::on_accepted(serve::SessionId id) {
   SessionState& s = sessions_[id];
   ++s.accepted;
-  ++accepted_;
   // The record that fills the window — and every one after it — stages
   // exactly one window whose verdict must carry this cycle index.
   if (s.accepted >= window_) {
@@ -48,7 +47,6 @@ void InvariantChecker::on_session_end(serve::SessionId id) {
 void InvariantChecker::on_verdicts(
     std::span<const serve::VerdictEvent> events, std::int64_t drain_tick) {
   for (const serve::VerdictEvent& ev : events) {
-    ++verdicts_;
     const auto it = sessions_.find(ev.session);
     if (it == sessions_.end() || it->second.expected.empty()) {
       violate("conservation: verdict for session " +

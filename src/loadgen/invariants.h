@@ -78,8 +78,6 @@ class InvariantChecker {
   /// engine.queue_depth().
   void finish(std::size_t engine_queue_depth) const;
 
-  [[nodiscard]] std::uint64_t accepted() const { return accepted_; }
-  [[nodiscard]] std::uint64_t verdicts() const { return verdicts_; }
   [[nodiscard]] std::size_t max_queue_depth() const {
     return max_queue_depth_;
   }
@@ -103,8 +101,6 @@ class InvariantChecker {
   // (shard << 48 | flush_seq) → the model_version first seen for that
   // micro-batch; any later verdict of the batch must match.
   std::unordered_map<std::uint64_t, std::uint64_t> batch_version_;
-  std::uint64_t accepted_ = 0;
-  std::uint64_t verdicts_ = 0;
   std::size_t max_queue_depth_ = 0;
   std::vector<std::uint64_t> latency_counts_;
 };

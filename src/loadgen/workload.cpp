@@ -128,7 +128,6 @@ WorkloadReport Workload::run(
     }
     for (const serve::SessionId id : engine.evicted_last_tick()) {
       report.eviction_log.push_back(EvictionEvent{drain_tick, id});
-      ++report.evictions;
       checker.on_session_end(id);
     }
     // The TTL-equivalence oracle: replay another run's evictions as

@@ -77,9 +77,8 @@ struct WorkloadReport {
   std::uint64_t rejoins = 0;
   std::uint64_t closes = 0;
   std::uint64_t abandons = 0;
-  std::uint64_t evictions = 0;
   std::uint64_t peak_active = 0;
-  std::vector<EvictionEvent> eviction_log;
+  std::vector<EvictionEvent> eviction_log;  // one entry per TTL eviction
   // Hot swaps staged by the drive loop (activated at the next tick each).
   std::uint64_t swaps = 0;
   // Load.

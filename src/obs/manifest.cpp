@@ -174,7 +174,8 @@ std::string RunManifest::to_json() const {
            ", \"parent_run_id\": " + quoted(resume_->parent_run_id) +
            ", \"resumed_points\": " + uint(resume_->resumed_points) +
            ", \"discarded_records\": " + uint(resume_->discarded_records) +
-           "},\n";
+           ", \"puts\": " + uint(resume_->puts) +
+           ", \"misses\": " + uint(resume_->misses) + "},\n";
   }
 
   out += "  \"params\": {";

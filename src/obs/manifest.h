@@ -36,14 +36,16 @@ struct OutputRecord {
 };
 
 /// Resume lineage of a checkpointed campaign (core::CheckpointStore): which
-/// run this one continued and how much stored work it reused. Keeps
+/// run this one continued and the store's four record counts. Keeps
 /// recovered runs auditable — a resumed CSV is byte-identical to a straight
 /// run, so the manifest is where the history lives.
 struct ResumeInfo {
   std::string run_id;
   std::string parent_run_id;          // "" for a fresh (non-resumed) run
-  std::uint64_t resumed_points = 0;   // checkpoint records reused
+  std::uint64_t resumed_points = 0;   // checkpoint records reused (hits)
   std::uint64_t discarded_records = 0;  // corrupt/truncated records dropped
+  std::uint64_t puts = 0;             // checkpoint records written
+  std::uint64_t misses = 0;           // lookups that found no record
 };
 
 class RunManifest {

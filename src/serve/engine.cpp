@@ -1,6 +1,8 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -15,17 +17,47 @@ namespace cpsguard::serve {
 
 namespace {
 
+// Registry counters published from one ShardStats field each.
+// serve.windows_ready (flushed + pending) and serve.ticks are derived.
+using CounterField = std::pair<const char*, std::uint64_t ShardStats::*>;
+constexpr CounterField kCounterFields[] = {
+    {"serve.records", &ShardStats::records},
+    {"serve.rejected.queue_full", &ShardStats::rejected_queue_full},
+    {"serve.rejected.session_limit", &ShardStats::rejected_session_limit},
+    {"serve.flushes", &ShardStats::flushes},
+    {"serve.windows_flushed", &ShardStats::windows_flushed},
+    {"serve.evicted", &ShardStats::evicted},
+    {"serve.swaps", &ShardStats::swaps},
+    {"serve.shadow.windows", &ShardStats::shadow_windows},
+    {"serve.shadow.disagree", &ShardStats::shadow_disagree},
+};
+constexpr std::size_t kNumCounterFields = std::size(kCounterFields);
+
+std::uint64_t windows_ready(const ShardStats& s) {
+  return s.windows_flushed + s.pending_windows;
+}
+
+// Resolved once: Registry lookups take a mutex.
 struct EngineMetrics {
   obs::Gauge& sessions_active;
   obs::Gauge& queue_depth;
   obs::Counter& ticks;
+  obs::Counter& windows_ready;
+  std::array<obs::Counter*, kNumCounterFields> fields;
 
   static EngineMetrics& get() {
-    static EngineMetrics metrics{
-        obs::Registry::instance().gauge("serve.sessions_active"),
-        obs::Registry::instance().gauge("serve.queue_depth"),
-        obs::Registry::instance().counter("serve.ticks"),
-    };
+    static EngineMetrics metrics = [] {
+      obs::Registry& reg = obs::Registry::instance();
+      EngineMetrics m{reg.gauge("serve.sessions_active"),
+                      reg.gauge("serve.queue_depth"),
+                      reg.counter("serve.ticks"),
+                      reg.counter("serve.windows_ready"),
+                      {}};
+      for (std::size_t i = 0; i < kNumCounterFields; ++i) {
+        m.fields[i] = &reg.counter(kCounterFields[i].first);
+      }
+      return m;
+    }();
     return metrics;
   }
 };
@@ -45,7 +77,6 @@ Engine::Engine(const monitor::MlMonitor& mon, EngineConfig config)
   expects(config.queue_capacity >= config.max_batch,
           "queue_capacity must hold at least one full micro-batch");
   expects(config.max_sessions > 0, "max_sessions must be positive");
-  expects(config.predict_chunk > 0, "predict_chunk must be positive");
   expects(config.idle_ttl_ticks >= 0, "idle_ttl_ticks must be non-negative");
   active_ = mon.clone();
   shards_.reserve(static_cast<std::size_t>(config.shards));
@@ -83,8 +114,6 @@ void Engine::submit(SessionId id, const sim::StepRecord& rec) {
 }
 
 std::vector<VerdictEvent> Engine::tick() {
-  EngineMetrics& metrics = EngineMetrics::get();
-  metrics.ticks.increment();
   // This tick's index: records ingested since the previous tick carry it
   // as their ingest_tick, so a verdict delivered below has latency 0.
   const std::int64_t now = ticks_.load(std::memory_order_relaxed);
@@ -94,14 +123,10 @@ std::vector<VerdictEvent> Engine::tick() {
       shard->evict_idle(now, config_.idle_ttl_ticks, evicted_last_tick_);
     }
   }
-  const int n = static_cast<int>(shards_.size());
-  if (config_.deterministic) {
-    for (auto& shard : shards_) shard->flush();
-  } else {
-    util::parallel_for(n, [&](int s) {
-      shards_[static_cast<std::size_t>(s)]->flush();
-    });
-  }
+  // With max_parallelism 1 the shards flush inline, in shard order.
+  util::parallel_for(static_cast<int>(shards_.size()), [&](int s) {
+    shards_[static_cast<std::size_t>(s)]->flush();
+  });
   // Epoch boundary: a staged model activates here — after every shard
   // flushed under the outgoing model, before this tick's verdicts drain.
   // Stage-to-activate latency is therefore at most one flush epoch.
@@ -121,8 +146,7 @@ std::vector<VerdictEvent> Engine::tick() {
   }
   std::vector<VerdictEvent> out = drain();
   ticks_.fetch_add(1, std::memory_order_relaxed);
-  metrics.sessions_active.set(static_cast<double>(sessions_active()));
-  metrics.queue_depth.set(static_cast<double>(queue_depth()));
+  publish(stats());
   return out;
 }
 
@@ -133,27 +157,12 @@ std::vector<VerdictEvent> Engine::drain() {
 }
 
 bool Engine::close_session(SessionId id) {
-  const bool closed =
-      shards_[static_cast<std::size_t>(shard_of(id))]->close(id);
-  EngineMetrics::get().sessions_active.set(
-      static_cast<double>(sessions_active()));
-  return closed;
+  return shards_[static_cast<std::size_t>(shard_of(id))]->close(id);
 }
 
-std::size_t Engine::sessions_active() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->stats().sessions;
-  return total;
-}
+std::size_t Engine::sessions_active() const { return stats().sessions; }
 
-std::size_t Engine::queue_depth() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    const ShardStats s = shard->stats();
-    total += s.pending_windows + s.undrained_verdicts;
-  }
-  return total;
-}
+std::size_t Engine::queue_depth() const { return stats().queue_depth(); }
 
 void Engine::stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
                          SwapMode mode) {
@@ -212,22 +221,23 @@ EngineStats Engine::stats() const {
   out.ticks = ticks();
   out.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    const ShardStats s = shard->stats();
-    out.sessions += s.sessions;
-    out.queue_depth += s.pending_windows + s.undrained_verdicts;
-    out.records += s.records;
-    out.windows_flushed += s.windows_flushed;
-    out.flushes += s.flushes;
-    out.closed += s.closed;
-    out.evicted += s.evicted;
-    out.rejected_queue_full += s.rejected_queue_full;
-    out.rejected_session_limit += s.rejected_session_limit;
-    out.swaps += s.swaps;
-    out.shadow_windows += s.shadow_windows;
-    out.shadow_disagree += s.shadow_disagree;
-    out.shards.push_back(s);
+    out.shards.push_back(shard->stats());
+    out += out.shards.back();
   }
   return out;
+}
+
+void Engine::publish(EngineStats now) {
+  EngineMetrics& metrics = EngineMetrics::get();
+  for (std::size_t i = 0; i < kNumCounterFields; ++i) {
+    const auto field = kCounterFields[i].second;
+    metrics.fields[i]->add(now.*field - published_.*field);
+  }
+  metrics.windows_ready.add(windows_ready(now) - windows_ready(published_));
+  metrics.ticks.add(static_cast<std::uint64_t>(now.ticks - published_.ticks));
+  metrics.sessions_active.set(static_cast<double>(now.sessions));
+  metrics.queue_depth.set(static_cast<double>(now.queue_depth()));
+  published_ = std::move(now);
 }
 
 }  // namespace cpsguard::serve

@@ -15,9 +15,9 @@
 // Determinism contract: verdicts depend only on the ingest sequence. For a
 // fixed interleaving of submit/tick calls the emitted VerdictEvent stream
 // is byte-identical whether tick() fans shards across the shared pool or
-// (deterministic mode / max_parallelism 1) flushes serially: shards are
-// independent, batched inference is bit-identical to per-window inference,
-// and delivery order is always (shard index, ingest order).
+// (util::set_max_parallelism(1)) flushes them inline in shard order: shards
+// are independent, batched inference is bit-identical to per-window
+// inference, and delivery order is always (shard index, ingest order).
 #pragma once
 
 #include <atomic>
@@ -36,25 +36,13 @@ class ModelRegistry;
 
 namespace cpsguard::serve {
 
-/// Whole-engine snapshot: the per-shard ShardStats plus engine-level
-/// aggregates. Totals are sums over `shards`; `ticks` counts completed
-/// tick() calls. Taken shard-by-shard under each shard's lock — consistent
-/// per shard, approximate across shards under concurrent ingest (exact when
-/// the caller is the only thread touching the engine, the loadgen case).
-struct EngineStats {
+/// Whole-engine snapshot: the ShardStats fields summed over `shards`, plus
+/// the per-shard breakdown and `ticks`, the completed tick() calls. Taken
+/// shard-by-shard under each shard's lock — consistent per shard,
+/// approximate across shards under concurrent ingest (exact when the caller
+/// is the only thread touching the engine, the loadgen case).
+struct EngineStats : ShardStats {
   std::int64_t ticks = 0;
-  std::size_t sessions = 0;
-  std::size_t queue_depth = 0;  // pending windows + undrained verdicts
-  std::uint64_t records = 0;
-  std::uint64_t windows_flushed = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t closed = 0;
-  std::uint64_t evicted = 0;
-  std::uint64_t rejected_queue_full = 0;
-  std::uint64_t rejected_session_limit = 0;
-  std::uint64_t swaps = 0;
-  std::uint64_t shadow_windows = 0;
-  std::uint64_t shadow_disagree = 0;
   std::vector<ShardStats> shards;
 };
 
@@ -86,9 +74,11 @@ class Engine {
   void submit(SessionId id, const sim::StepRecord& rec);
 
   /// Cycle tick: flush every shard's partial micro-batch (in parallel
-  /// across shards unless deterministic mode or the parallelism cap says
-  /// otherwise), then drain — returns every verdict completed since the
-  /// last drain, in (shard, ingest) order.
+  /// across shards unless the parallelism cap says otherwise), then drain —
+  /// returns every verdict completed since the last drain, in (shard,
+  /// ingest) order. Last, the `serve.*` registry counters and gauges are
+  /// published from one stats() snapshot, so they are exact at every tick
+  /// boundary.
   std::vector<VerdictEvent> tick();
 
   /// Collect completed verdicts without forcing a flush (e.g. after
@@ -169,6 +159,10 @@ class Engine {
   /// Shared tail of stage_model and swap_model.
   void stage(ModelPtr mon, std::uint64_t version, SwapMode mode);
 
+  /// Add the growth of `now` since the last publish to the `serve.*`
+  /// registry counters and set the `serve.*` gauges from it.
+  void publish(EngineStats now);
+
   EngineConfig config_;
   std::atomic<std::int64_t> session_budget_;
   std::atomic<std::int64_t> ticks_{0};
@@ -189,6 +183,7 @@ class Engine {
 
   std::vector<std::unique_ptr<SessionShard>> shards_;
   std::vector<SessionId> evicted_last_tick_;
+  EngineStats published_;  // stats() as of the last publish (tick thread)
 };
 
 }  // namespace cpsguard::serve

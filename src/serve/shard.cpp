@@ -13,34 +13,15 @@ namespace cpsguard::serve {
 
 namespace {
 
-// Serving telemetry, resolved once (Registry lookups take a mutex and do
-// not belong on the per-record path).
+// Serving histograms, resolved once (Registry lookups take a mutex and do
+// not belong on the flush path). The serve.* counters are published by the
+// engine from ShardStats at each tick.
 struct ServeMetrics {
-  obs::Counter& records;
-  obs::Counter& windows_ready;
-  obs::Counter& rejected_queue_full;
-  obs::Counter& rejected_session_limit;
-  obs::Counter& flushes;
-  obs::Counter& windows_flushed;
-  obs::Counter& evicted;
-  obs::Counter& swaps;
-  obs::Counter& shadow_windows;
-  obs::Counter& shadow_disagree;
   obs::Histogram& batch_occupancy;
   obs::Histogram& flush_seconds;
 
   static ServeMetrics& get() {
     static ServeMetrics metrics{
-        obs::Registry::instance().counter("serve.records"),
-        obs::Registry::instance().counter("serve.windows_ready"),
-        obs::Registry::instance().counter("serve.rejected.queue_full"),
-        obs::Registry::instance().counter("serve.rejected.session_limit"),
-        obs::Registry::instance().counter("serve.flushes"),
-        obs::Registry::instance().counter("serve.windows_flushed"),
-        obs::Registry::instance().counter("serve.evicted"),
-        obs::Registry::instance().counter("serve.swaps"),
-        obs::Registry::instance().counter("serve.shadow.windows"),
-        obs::Registry::instance().counter("serve.shadow.disagree"),
         obs::Registry::instance().histogram("serve.batch_occupancy"),
         obs::Registry::instance().histogram("span.serve.flush"),
     };
@@ -55,12 +36,12 @@ struct ServeMetrics {
 nn::Matrix score_rows(const monitor::MlMonitor& mon, const nn::Tensor3& batch,
                       int n, const EngineConfig& config) {
   if (n == config.max_batch) {
-    return eval::batched_predict_proba_scaled(mon, batch, config.predict_chunk);
+    return eval::batched_predict_proba_scaled(mon, batch);
   }
   nn::Tensor3 head(n, config.window, monitor::Features::kNumFeatures);
   std::copy(batch.data().begin(), batch.data().begin() + head.size(),
             head.data().begin());
-  return eval::batched_predict_proba_scaled(mon, head, config.predict_chunk);
+  return eval::batched_predict_proba_scaled(mon, head);
 }
 
 }  // namespace
@@ -84,13 +65,11 @@ SessionShard::SessionShard(std::shared_ptr<const monitor::MlMonitor> mon,
 
 SubmitStatus SessionShard::submit(SessionId id, const sim::StepRecord& rec,
                                   std::int64_t now_tick) {
-  ServeMetrics& metrics = ServeMetrics::get();
   const std::scoped_lock lock(mutex_);
   // Admission control happens before any session state is touched: a
   // rejected record leaves the window exactly where it was.
   if (pending_.size() + done_.size() >=
       static_cast<std::size_t>(config_.queue_capacity)) {
-    metrics.rejected_queue_full.increment();
     ++counters_.rejected_queue_full;
     return SubmitStatus::kRejectedQueueFull;
   }
@@ -100,7 +79,6 @@ SubmitStatus SessionShard::submit(SessionId id, const sim::StepRecord& rec,
     // race to the last slot.
     if (session_budget_.fetch_sub(1, std::memory_order_relaxed) <= 0) {
       session_budget_.fetch_add(1, std::memory_order_relaxed);
-      metrics.rejected_session_limit.increment();
       ++counters_.rejected_session_limit;
       return SubmitStatus::kRejectedSessionLimit;
     }
@@ -122,7 +100,6 @@ SubmitStatus SessionShard::submit(SessionId id, const sim::StepRecord& rec,
   session.raw.commit();
   session.ring.commit();
   ++session.cycles;
-  metrics.records.increment();
   ++counters_.records;
   if (!session.ring.full()) return SubmitStatus::kAccepted;
 
@@ -145,7 +122,6 @@ SubmitStatus SessionShard::submit(SessionId id, const sim::StepRecord& rec,
     }
   }
   pending_.push_back(VerdictEvent{id, session.cycles - 1, 0, 0.0, now_tick});
-  metrics.windows_ready.increment();
   if (pending_.size() == static_cast<std::size_t>(config_.max_batch)) {
     flush_locked();
   }
@@ -195,8 +171,6 @@ void SessionShard::flush_locked() {
     }
     counters_.shadow_windows += static_cast<std::uint64_t>(n);
     counters_.shadow_disagree += disagree;
-    metrics.shadow_windows.add(static_cast<std::uint64_t>(n));
-    metrics.shadow_disagree.add(disagree);
     CPSGUARD_OBS_EVENT(
         "serve.shadow", obs::f("active_version", version_),
         obs::f("shadow_version", shadow_version_),
@@ -206,8 +180,6 @@ void SessionShard::flush_locked() {
   }
 
   pending_.clear();
-  metrics.flushes.increment();
-  metrics.windows_flushed.add(static_cast<std::uint64_t>(n));
   ++counters_.flushes;
   counters_.windows_flushed += static_cast<std::uint64_t>(n);
 }
@@ -228,7 +200,6 @@ bool SessionShard::close(SessionId id) {
 
 void SessionShard::evict_idle(std::int64_t now_tick, std::int64_t ttl,
                               std::vector<SessionId>& evicted) {
-  ServeMetrics& metrics = ServeMetrics::get();
   const std::scoped_lock lock(mutex_);
   // Collect first, then erase in ascending-id order: the hash map iterates
   // in an unspecified order, and deterministic eviction order is part of
@@ -243,7 +214,6 @@ void SessionShard::evict_idle(std::int64_t now_tick, std::int64_t ttl,
     sessions_.erase(evicted[i]);
     session_budget_.fetch_add(1, std::memory_order_relaxed);
     ++counters_.evicted;
-    metrics.evicted.increment();
   }
 }
 
@@ -275,7 +245,6 @@ void SessionShard::activate(std::shared_ptr<const monitor::MlMonitor> mon,
   version_ = version;
   rescale_sessions_locked();
   ++counters_.swaps;
-  ServeMetrics::get().swaps.increment();
 }
 
 void SessionShard::rescale_sessions_locked() {
@@ -291,6 +260,23 @@ void SessionShard::rescale_sessions_locked() {
       monitor_->scaler().transform_row(scaled);
     }
   }
+}
+
+ShardStats& ShardStats::operator+=(const ShardStats& other) {
+  sessions += other.sessions;
+  pending_windows += other.pending_windows;
+  undrained_verdicts += other.undrained_verdicts;
+  records += other.records;
+  windows_flushed += other.windows_flushed;
+  flushes += other.flushes;
+  closed += other.closed;
+  evicted += other.evicted;
+  rejected_queue_full += other.rejected_queue_full;
+  rejected_session_limit += other.rejected_session_limit;
+  swaps += other.swaps;
+  shadow_windows += other.shadow_windows;
+  shadow_disagree += other.shadow_disagree;
+  return *this;
 }
 
 ShardStats SessionShard::stats() const {

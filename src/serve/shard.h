@@ -36,9 +36,9 @@ namespace cpsguard::serve {
 
 /// Point-in-time shard occupancy plus lifetime counters (taken under the
 /// shard lock). Occupancy fields describe the current instant; the counter
-/// fields are monotonic over the shard's lifetime — per-engine, unlike the
-/// process-wide obs registry, so tests and ops snapshots can assert on them
-/// without diffing global state.
+/// fields are monotonic over the shard's lifetime. This is the only ledger
+/// of serve events: the engine sums it across shards (EngineStats) and
+/// publishes the `serve.*` registry counters from that sum at every tick.
 struct ShardStats {
   std::size_t sessions = 0;
   std::size_t pending_windows = 0;    // accumulated, not yet flushed
@@ -54,6 +54,12 @@ struct ShardStats {
   std::uint64_t swaps = 0;            // model activations (hot swaps)
   std::uint64_t shadow_windows = 0;   // windows dual-scored by a shadow model
   std::uint64_t shadow_disagree = 0;  // shadow vs active prediction mismatches
+
+  [[nodiscard]] std::size_t queue_depth() const {
+    return pending_windows + undrained_verdicts;
+  }
+  /// Field-wise sum (occupancy and counters alike).
+  ShardStats& operator+=(const ShardStats& other);
 };
 
 class SessionShard {

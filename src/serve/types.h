@@ -119,8 +119,6 @@ struct EngineConfig {
   int queue_capacity = 4096;
   /// Engine-wide cap on concurrently open sessions.
   int max_sessions = 1 << 20;
-  /// Chunk size handed to eval::batched_predict_proba at flush.
-  int predict_chunk = 512;
   /// Idle-session TTL in engine ticks (0 disables eviction). A session that
   /// goes more than this many tick() calls without submitting a record is
   /// evicted during the next tick(): its window state is dropped and its
@@ -133,12 +131,6 @@ struct EngineConfig {
   /// (before any hot swap). Registry deployments pass the published version
   /// so the verdict stream lines up with the registry's lineage.
   std::uint64_t initial_model_version = 1;
-  /// Deterministic mode: tick() flushes shards serially in shard order on
-  /// the calling thread instead of fanning out across the pool. Output
-  /// bytes are identical either way (flushes are per-shard independent and
-  /// batched inference is bit-identical to per-window inference); the mode
-  /// exists so golden tests can also pin scheduling.
-  bool deterministic = false;
 };
 
 }  // namespace cpsguard::serve

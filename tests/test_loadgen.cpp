@@ -257,8 +257,6 @@ TEST(InvariantCheckerTest, AcceptsAConformingRun) {
   checker.on_verdicts(events, /*drain_tick=*/1);
   checker.on_tick_complete(0);
   checker.finish(0);
-  EXPECT_EQ(checker.accepted(), 4u);
-  EXPECT_EQ(checker.verdicts(), 2u);
   EXPECT_EQ(checker.max_queue_depth(), 2u);
   // Both verdicts drained 1 tick after ingest.
   ASSERT_EQ(checker.latency_counts().size(), 2u);
@@ -434,7 +432,7 @@ TEST_F(LoadgenEngineTest, StatsSnapshotAggregatesShards) {
   EXPECT_EQ(stats.ticks, 2);
   EXPECT_EQ(stats.ticks, engine.ticks());
   EXPECT_EQ(stats.sessions, 2u);
-  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.queue_depth(), 0u);
   EXPECT_EQ(stats.records, static_cast<std::uint64_t>(records) * 3u);
   EXPECT_EQ(stats.windows_flushed, verdicts);
   EXPECT_EQ(stats.closed, 1u);
@@ -490,11 +488,10 @@ TEST_F(WorkloadTest, ChurnedRunHoldsInvariantsAndCountsAddUp) {
   EXPECT_GT(report.accepted, 0u);
   EXPECT_GT(report.verdicts, 0u);
   EXPECT_GT(report.rejoins, 0u);
-  EXPECT_GT(report.evictions, 0u);  // abandoners only leave via TTL
+  EXPECT_GT(report.eviction_log.size(), 0u);  // abandoners leave via TTL
   EXPECT_EQ(report.final_stats.records, report.accepted);
   EXPECT_EQ(report.final_stats.windows_flushed, report.verdicts);
-  EXPECT_EQ(report.final_stats.evicted, report.evictions);
-  EXPECT_EQ(report.eviction_log.size(), report.evictions);
+  EXPECT_EQ(report.final_stats.evicted, report.eviction_log.size());
   EXPECT_EQ(report.stream_sha256.size(), 64u);
   std::uint64_t latency_total = 0;
   for (const std::uint64_t c : report.latency_counts) latency_total += c;
@@ -534,7 +531,7 @@ TEST_F(WorkloadTest, TtlEvictionIsEquivalentToExplicitClose) {
   Workload wl_b(mon(), exp_.test_traces(), no_ttl);
   const WorkloadReport b = wl_b.run(a.eviction_log);
   util::set_max_parallelism(0);
-  EXPECT_EQ(b.evictions, 0u);
+  EXPECT_TRUE(b.eviction_log.empty());
   EXPECT_EQ(a.stream_sha256, b.stream_sha256)
       << "TTL eviction is not equivalent to closing at the eviction tick";
   EXPECT_EQ(a.verdicts, b.verdicts);

@@ -13,11 +13,13 @@
 
 #include "core/checkpoint.h"
 #include "core/experiment.h"
+#include "obs/manifest.h"
 #include "obs/metrics.h"
 #include "registry/artifact.h"
 #include "util/chaos.h"
 #include "util/csv.h"
 #include "util/deadline.h"
+#include "util/json.h"
 
 namespace cpsguard {
 namespace {
@@ -241,6 +243,50 @@ TEST_F(ResumeTest, DeadlineAbortThenResumeIsByteIdentical) {
   const auto results = exp.evaluate_under_gaussian_sweep(kVariant, sigmas());
   expect_bit_identical(results, baseline());
   EXPECT_GE(resumed.stats().hits, 1u);  // the snapshot
+}
+
+TEST_F(ResumeTest, ManifestResumeSectionCarriesAllFourStoreCounts) {
+  {
+    core::CheckpointStore store(dir_);
+    core::Experiment exp(mini_config());
+    exp.set_checkpoint_store(&store);
+    exp.evaluate_under_gaussian_sweep(kVariant, sigmas());
+  }
+  // One record missing (miss + put) and one torn (discard + put); the
+  // rest hit.
+  const auto files = record_files();
+  ASSERT_GE(files.size(), 3u);
+  fs::remove(files[0]);
+  fs::resize_file(files[1], fs::file_size(files[1]) / 2);
+  core::CheckpointStore resumed(dir_);
+  core::Experiment exp(mini_config());
+  exp.set_checkpoint_store(&resumed);
+  (void)exp.evaluate_under_gaussian_sweep(kVariant, sigmas());
+
+  const core::CheckpointStats stats = resumed.stats();
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.misses, 0u);
+  EXPECT_GT(stats.discarded, 0u);
+  EXPECT_GT(stats.puts, 0u);
+  const obs::ResumeInfo info = resumed.resume_info();
+  EXPECT_EQ(info.run_id, resumed.run_id());
+  EXPECT_EQ(info.parent_run_id, resumed.parent_run_id());
+
+  obs::RunManifest manifest("resume_test");
+  manifest.set_resume(info);
+  const util::Json json = util::Json::parse(manifest.to_json());
+  const util::Json* resume = json.get("resume");
+  ASSERT_NE(resume, nullptr);
+  const auto count = [&](const char* key) {
+    const util::Json* v = resume->get(key);
+    return v != nullptr && v->is_integer()
+               ? static_cast<std::uint64_t>(v->as_int())
+               : ~std::uint64_t{0};
+  };
+  EXPECT_EQ(count("resumed_points"), stats.hits);
+  EXPECT_EQ(count("discarded_records"), stats.discarded);
+  EXPECT_EQ(count("puts"), stats.puts);
+  EXPECT_EQ(count("misses"), stats.misses);
 }
 
 TEST_F(ResumeTest, LineageIsRecordedAcrossResumes) {

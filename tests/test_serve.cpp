@@ -20,14 +20,17 @@
 #include <map>
 #include <thread>
 
+#include "attack/fgsm.h"
 #include "core/experiment.h"
 #include "core/online_monitor.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/sha256.h"
 #include "registry/registry.h"
 #include "serve/stable_hash.h"
 #include "util/contracts.h"
 #include "util/error.h"
+#include "util/json.h"
 #include "util/thread_pool.h"
 
 #ifndef CPSGUARD_GOLDEN_DIR
@@ -273,12 +276,11 @@ std::string verdict_line(const VerdictEvent& ev) {
 }
 
 std::string replay(core::Experiment& exp, monitor::MlMonitor& mon,
-                   monitor::MlMonitor& next, bool deterministic) {
+                   monitor::MlMonitor& next) {
   EngineConfig cfg;
   cfg.window = exp.config().dataset.window;
   cfg.shards = 4;
   cfg.max_batch = 16;
-  cfg.deterministic = deterministic;
   Engine engine(mon, cfg);
 
   const auto& traces = exp.test_traces();
@@ -311,15 +313,13 @@ std::string replay(core::Experiment& exp, monitor::MlMonitor& mon,
 }
 
 TEST_F(ServeTest, DeterministicGoldenReplay) {
-  // Serial deterministic mode vs pooled flushes: the verdict stream —
-  // including the mid-stream hot-swap and rollback — must be
-  // byte-identical, and match the checked-in golden.
+  // Serial (max_parallelism 1: shards flush inline in shard order) vs
+  // pooled flushes: the verdict stream — including the mid-stream hot-swap
+  // and rollback — must be byte-identical, and match the checked-in golden.
   util::set_max_parallelism(1);
-  const std::string serial =
-      replay(exp_, mon(), next_mon(), /*deterministic=*/true);
+  const std::string serial = replay(exp_, mon(), next_mon());
   util::set_max_parallelism(0);
-  const std::string pooled =
-      replay(exp_, mon(), next_mon(), /*deterministic=*/false);
+  const std::string pooled = replay(exp_, mon(), next_mon());
   ASSERT_FALSE(serial.empty());
   ASSERT_EQ(serial, pooled)
       << "serial and pooled serve runs diverged — a flush reduction or "
@@ -683,6 +683,179 @@ TEST_F(ServeTest, EngineAndStageCopyTheModelOnceWhateverTheShardCount) {
   (void)engine.tick();
   EXPECT_EQ(engine.active_version(), 1u);
   EXPECT_EQ(clones.value() - before, 3u);  // rollback re-stages, no copy
+}
+
+// ---- telemetry ------------------------------------------------------------
+
+/// Every serve.* registry counter and the EngineStats field it publishes.
+/// serve.windows_ready is checked separately (flushed + pending).
+const std::pair<const char*, std::uint64_t ShardStats::*> kServeCounters[] = {
+    {"serve.records", &ShardStats::records},
+    {"serve.rejected.queue_full", &ShardStats::rejected_queue_full},
+    {"serve.rejected.session_limit", &ShardStats::rejected_session_limit},
+    {"serve.flushes", &ShardStats::flushes},
+    {"serve.windows_flushed", &ShardStats::windows_flushed},
+    {"serve.evicted", &ShardStats::evicted},
+    {"serve.swaps", &ShardStats::swaps},
+    {"serve.shadow.windows", &ShardStats::shadow_windows},
+    {"serve.shadow.disagree", &ShardStats::shadow_disagree},
+};
+
+std::uint64_t registry_counter(const char* name) {
+  return obs::Registry::instance().counter(name).value();
+}
+
+TEST_F(ServeTest, RegistryCountersMatchEngineStatsAtTickBoundaries) {
+  // Two engines in one process publish into the same registry. After each
+  // tick every serve.* counter has grown by exactly the sum of both
+  // engines' stats(), and the gauges describe the engine that ticked last.
+  std::map<std::string, std::uint64_t> base;
+  for (const auto& [name, field] : kServeCounters) {
+    base[name] = registry_counter(name);
+  }
+  base["serve.windows_ready"] = registry_counter("serve.windows_ready");
+  base["serve.ticks"] = registry_counter("serve.ticks");
+
+  // A: shadow-scores a second model, which is later promoted (a swap).
+  EngineConfig a_cfg;
+  a_cfg.window = window();
+  a_cfg.shards = 2;
+  a_cfg.max_batch = 4;
+  Engine a(mon(), a_cfg);
+  a.stage_model(next_mon(), 2, SwapMode::kShadow);
+  // B: one shard with room for a single micro-batch (queue-full
+  // rejections), two sessions (session-limit rejections) and a 1-tick idle
+  // TTL (evictions).
+  EngineConfig b_cfg;
+  b_cfg.window = window();
+  b_cfg.shards = 1;
+  b_cfg.max_batch = 8;
+  b_cfg.queue_capacity = 8;
+  b_cfg.max_sessions = 2;
+  b_cfg.idle_ttl_ticks = 1;
+  Engine b(mon(), b_cfg);
+
+  const auto expect_published = [&](const Engine& last, int tick) {
+    const EngineStats sa = a.stats();
+    const EngineStats sb = b.stats();
+    for (const auto& [name, field] : kServeCounters) {
+      EXPECT_EQ(registry_counter(name) - base[name], sa.*field + sb.*field)
+          << name << " after tick " << tick;
+    }
+    EXPECT_EQ(registry_counter("serve.windows_ready") -
+                  base["serve.windows_ready"],
+              registry_counter("serve.windows_flushed") -
+                  base["serve.windows_flushed"])
+        << "tick " << tick;
+    EXPECT_EQ(registry_counter("serve.ticks") - base["serve.ticks"],
+              static_cast<std::uint64_t>(sa.ticks + sb.ticks));
+    const EngineStats sl = last.stats();
+    obs::Registry& reg = obs::Registry::instance();
+    EXPECT_EQ(reg.gauge("serve.sessions_active").value(),
+              static_cast<double>(sl.sessions));
+    EXPECT_EQ(reg.gauge("serve.queue_depth").value(),
+              static_cast<double>(sl.queue_depth()));
+  };
+
+  const sim::Trace& trace = exp_.test_traces().front();
+  const int ticks = 3 * window();
+  for (int t = 0; t < ticks; ++t) {
+    const auto& rec = trace.steps[static_cast<std::size_t>(t)];
+    if (t == ticks / 2) {
+      ASSERT_TRUE(a.promote_shadow());
+    }
+    for (SessionId id = 1; id <= 5; ++id) a.submit(id, rec);
+    (void)a.tick();
+    expect_published(a, t);
+
+    // Session 901 submits once and is TTL-evicted two ticks later; 902
+    // finds no session slot; 900 streams without a drain until B's queue
+    // is full.
+    if (t == 0) {
+      (void)b.try_submit(901, rec);
+      (void)b.try_submit(900, rec);
+      (void)b.try_submit(902, rec);
+      while (b.try_submit(900, rec) == SubmitStatus::kAccepted) {
+      }
+    } else {
+      (void)b.try_submit(900, rec);
+    }
+    (void)b.tick();
+    expect_published(b, t);
+  }
+  const EngineStats sa = a.stats();
+  const EngineStats sb = b.stats();
+  EXPECT_GT(sa.shadow_windows, 0u);
+  EXPECT_GT(sa.swaps, 0u);
+  EXPECT_GT(sb.rejected_queue_full, 0u);
+  EXPECT_GT(sb.rejected_session_limit, 0u);
+  EXPECT_GT(sb.evicted, 0u);
+}
+
+TEST_F(ServeTest, NdjsonEventsParseBackAndShadowEventsSumToStats) {
+  const fs::path path =
+      fs::temp_directory_path() / "cpsguard_serve_events_test.ndjson";
+  fs::remove(path);
+  obs::enable_events(path.string());
+
+  // A few shadow-scored ticks (serve.shadow + span events).
+  EngineConfig cfg;
+  cfg.window = window();
+  cfg.shards = 2;
+  cfg.max_batch = 4;
+  Engine engine(mon(), cfg);
+  engine.stage_model(next_mon(), 2, SwapMode::kShadow);
+  const sim::Trace& trace = exp_.test_traces().front();
+  for (int t = 0; t < 2 * window(); ++t) {
+    for (SessionId id = 1; id <= 6; ++id) {
+      engine.submit(id, trace.steps[static_cast<std::size_t>(t)]);
+    }
+    (void)engine.tick();
+  }
+  // One FGSM attack and one training epoch.
+  const monitor::Dataset& test = exp_.test_data();
+  const std::unique_ptr<monitor::MlMonitor> attacked = mon().clone();
+  (void)attack::fgsm_attack(attacked->classifier(),
+                            attacked->scaler().transform(test.x), test.labels,
+                            attack::FgsmConfig{});
+  monitor::MonitorConfig mc;
+  mc.epochs = 1;
+  monitor::MlMonitor fresh(mc);
+  (void)fresh.train(exp_.train_data());
+  obs::disable_events();
+
+  std::ifstream in(path);
+  std::string line;
+  std::map<std::string, int> seen;
+  std::uint64_t shadow_windows = 0;
+  std::uint64_t shadow_disagree = 0;
+  while (std::getline(in, line)) {
+    util::Json ev = util::Json::object();
+    ASSERT_NO_THROW(ev = util::Json::parse(line)) << line;
+    ASSERT_TRUE(ev.is_object()) << line;
+    const util::Json* name = ev.get("ev");
+    ASSERT_TRUE(name != nullptr && name->is_string()) << line;
+    const util::Json* ts = ev.get("ts_ns");
+    ASSERT_TRUE(ts != nullptr && ts->is_integer()) << line;
+    ++seen[name->as_str()];
+    if (name->as_str() == "serve.shadow") {
+      const util::Json* windows = ev.get("windows");
+      const util::Json* disagree = ev.get("disagree");
+      ASSERT_TRUE(windows != nullptr && windows->is_integer()) << line;
+      ASSERT_TRUE(disagree != nullptr && disagree->is_integer()) << line;
+      shadow_windows += static_cast<std::uint64_t>(windows->as_int());
+      shadow_disagree += static_cast<std::uint64_t>(disagree->as_int());
+    }
+  }
+  fs::remove(path);
+  for (const char* expected :
+       {"serve.shadow", "span", "attack.fgsm", "train.epoch"}) {
+    EXPECT_GT(seen[expected], 0) << "no " << expected << " event";
+  }
+  const EngineStats stats = engine.stats();
+  EXPECT_GT(stats.shadow_windows, 0u);
+  EXPECT_EQ(shadow_windows, stats.shadow_windows);
+  EXPECT_EQ(shadow_disagree, stats.shadow_disagree);
 }
 
 // ---- concurrent ingest -----------------------------------------------------
